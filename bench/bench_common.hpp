@@ -1,12 +1,18 @@
 // Shared helpers for the reproduction benches: build a scenario, run it on
-// a fresh simulated platform, return the conditioned package.
+// a fresh simulated platform, return the conditioned package; plus the
+// small statistics/date/link helpers the overhead benches share.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/master.hpp"
 #include "core/scenario.hpp"
+#include "net/topology.hpp"
 #include "stats/analysis.hpp"
 
 namespace excovery::bench {
@@ -56,6 +62,29 @@ T must(Result<T> result, const char* what) {
     std::exit(1);
   }
   return std::move(result).value();
+}
+
+/// Upper-middle median over repetitions: the statistic the overhead
+/// benches gate on (bench_provenance keeps its own averaging median).
+inline double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Local date as YYYY-MM-DD, the `date` field of the curated BENCH_*.json.
+inline std::string today() {
+  std::time_t now = std::time(nullptr);
+  char buffer[32];
+  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
+  return buffer;
+}
+
+/// Ideal link with loss and jitter off: the packet hot-path workloads.
+inline net::LinkModel lossless_link() {
+  net::LinkModel model = net::LinkModel::ideal();
+  model.loss = 0.0;
+  model.jitter_frac = 0.0;
+  return model;
 }
 
 inline void banner(const char* artifact, const char* paper_content) {

@@ -23,11 +23,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "faults/injector.hpp"
 #include "faults/schedule.hpp"
@@ -42,20 +42,11 @@ using excovery::net::NodeId;
 using excovery::net::Packet;
 using excovery::sim::SimDuration;
 namespace faults = excovery::faults;
+using excovery::bench::lossless_link;
+using excovery::bench::median;
+using excovery::bench::today;
 
 enum class Mode { kBare, kIdle, kChurnWorld };
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-excovery::net::LinkModel lossless_link() {
-  excovery::net::LinkModel model = excovery::net::LinkModel::ideal();
-  model.loss = 0.0;
-  model.jitter_frac = 0.0;
-  return model;
-}
 
 struct FaultWorld {
   std::unique_ptr<faults::FaultInjector> injector;
@@ -197,13 +188,6 @@ struct Workload {
   double items_per_iteration = 0.0;  ///< for items/s reporting
   std::function<double(Mode)> run;   ///< returns seconds for the fixed loop
 };
-
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
-}
 
 }  // namespace
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "net/link_set.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
@@ -76,6 +77,7 @@ using net::NodeId;
 using net::Packet;
 using sim::SimDuration;
 using sim::SimTime;
+using bench::lossless_link;
 
 class AllocCounter {
  public:
@@ -186,13 +188,6 @@ void BM_SchedulerRescheduleMix(benchmark::State& state) {
 BENCHMARK(BM_SchedulerRescheduleMix);
 
 // ---- network data plane -----------------------------------------------------
-
-net::LinkModel lossless_link() {
-  net::LinkModel model = net::LinkModel::ideal();
-  model.loss = 0.0;
-  model.jitter_frac = 0.0;
-  return model;
-}
 
 /// Unicast over a chain: every packet crosses `length - 1` hops; each hop
 /// moves the packet through filters, capture, and the scheduler.

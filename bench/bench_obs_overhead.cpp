@@ -20,11 +20,9 @@
 //   --smoke     tiny iteration counts, no JSON, WARN-only gate — CI gate
 //   --reps N    repetitions per mode (default 5, median taken)
 //   --out PATH  override the JSON output path (default BENCH_obs.json)
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <functional>
 #include <string>
 #include <vector>
@@ -48,20 +46,11 @@ using excovery::net::Packet;
 using excovery::sim::SimDuration;
 using namespace excovery::core;
 using scenario::TwoPartyOptions;
+using excovery::bench::lossless_link;
+using excovery::bench::median;
+using excovery::bench::today;
 
 enum class Mode { kOff, kMetrics, kTrace };
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-excovery::net::LinkModel lossless_link() {
-  excovery::net::LinkModel model = excovery::net::LinkModel::ideal();
-  model.loss = 0.0;
-  model.jitter_frac = 0.0;
-  return model;
-}
 
 /// Install the obs-layer packet hook shape on a bench network: lifecycle
 /// events rendered into a live TraceBuffer, like RunExecutor::on_packet_trace.
@@ -215,13 +204,6 @@ struct Workload {
   double items_per_iteration = 0.0;  ///< for items/s reporting
   std::function<double(Mode)> run;   ///< returns seconds for the fixed loop
 };
-
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
-}
 
 }  // namespace
 

@@ -26,12 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
@@ -46,6 +46,8 @@ using excovery::net::Address;
 using excovery::net::NodeId;
 using excovery::net::Packet;
 using excovery::sim::SimDuration;
+using excovery::bench::lossless_link;
+using excovery::bench::today;
 
 enum class Mode { kOff, kRing, kGraph };
 
@@ -76,13 +78,6 @@ double cpu_seconds() {
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-excovery::net::LinkModel lossless_link() {
-  excovery::net::LinkModel model = excovery::net::LinkModel::ideal();
-  model.loss = 0.0;
-  model.jitter_frac = 0.0;
-  return model;
 }
 
 void attach(excovery::net::Network& network, excovery::sim::LineageLog& log,
@@ -231,9 +226,7 @@ double mdns_discovery(Mode mode, excovery::sim::LineageLog& log,
     if (mode == Mode::kGraph) {
       std::vector<excovery::obs::CriticalPath> paths =
           excovery::obs::extract_critical_paths(log);
-#if EXCOVERY_OBS_ENABLED
       if (paths.empty()) std::abort();
-#endif
     }
     network.reset_run_state();
   }
@@ -248,13 +241,6 @@ struct Workload {
   std::function<double(Mode)> run;   ///< returns seconds for the fixed loop
   bool gated = true;  ///< ring overhead must fit the budget on this workload
 };
-
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
-}
 
 }  // namespace
 
@@ -308,10 +294,6 @@ int main(int argc, char** argv) {
 
   std::printf("provenance overhead bench: %d repetitions per mode%s\n", reps,
               smoke ? " (smoke)" : "");
-#if !EXCOVERY_OBS_ENABLED
-  std::printf("  (built with -DEXCOVERY_OBS=OFF: lineage is compiled out, "
-              "all modes measure the same inert code)\n");
-#endif
 
   const Mode kModes[] = {Mode::kOff, Mode::kRing, Mode::kGraph};
   const double budget_percent = 3.0;

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +26,7 @@ using excovery::Bytes;
 using excovery::Result;
 using namespace excovery::core;
 using scenario::TwoPartyOptions;
+using excovery::bench::today;
 
 struct Measurement {
   std::string label;
@@ -56,13 +56,6 @@ Result<Measurement> measure(const TwoPartyOptions& options,
       static_cast<double>(options.replications) / m.seconds;
   m.package_bytes = executed.package.database().serialize();
   return m;
-}
-
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
 }
 
 }  // namespace

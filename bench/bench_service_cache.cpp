@@ -28,12 +28,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "core/scenario.hpp"
 #include "core/service.hpp"
@@ -46,6 +46,8 @@ using excovery::core::ExperimentService;
 using excovery::core::ServiceReply;
 using excovery::core::Submission;
 using excovery::core::SubmitOutcome;
+using excovery::bench::median;
+using excovery::bench::today;
 
 // ---- allocation counting ---------------------------------------------------
 
@@ -71,11 +73,6 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 }
 
 namespace {
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -129,13 +126,6 @@ double hit_throughput(ExperimentService& service,
   }
   for (std::thread& t : threads) t.join();
   return static_cast<double>(total.load()) / seconds_since(start);
-}
-
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
 }
 
 }  // namespace

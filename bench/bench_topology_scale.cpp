@@ -34,10 +34,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "net/network.hpp"
 #include "net/routing.hpp"
@@ -52,18 +52,9 @@ using excovery::net::NodeId;
 using excovery::net::Packet;
 using excovery::net::RoutingTable;
 using excovery::net::Topology;
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-LinkModel lossless_link() {
-  LinkModel model = LinkModel::ideal();
-  model.loss = 0.0;
-  model.jitter_frac = 0.0;
-  return model;
-}
+using excovery::bench::lossless_link;
+using excovery::bench::median;
+using excovery::bench::today;
 
 struct Scale {
   std::size_t nodes = 0;
@@ -164,13 +155,6 @@ ScaleResult run_scale(const Scale& scale, std::uint64_t seed) {
     std::abort();
   }
   return result;
-}
-
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
 }
 
 }  // namespace

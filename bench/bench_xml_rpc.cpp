@@ -30,12 +30,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/hash.hpp"
 #include "common/strings.hpp"
 #include "core/scenario.hpp"
@@ -546,23 +546,13 @@ namespace {
 
 using excovery::Result;
 using excovery::Sha256;
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
+using excovery::bench::median;
+using excovery::bench::today;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-std::string today() {
-  std::time_t now = std::time(nullptr);
-  char buffer[32];
-  std::strftime(buffer, sizeof buffer, "%Y-%m-%d", std::localtime(&now));
-  return buffer;
 }
 
 /// Median seconds per call of fn() over `reps` repetitions of `iters`

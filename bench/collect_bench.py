@@ -163,7 +163,7 @@ def main():
         return 1
     summary = render(files)
     if args.stdout:
-        print(summary)
+        sys.stdout.write(summary)  # byte-identical to the written file
     else:
         out = args.root / "BENCH_SUMMARY.md"
         out.write_text(summary)

@@ -15,8 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/obs_switch.hpp"
-
 namespace excovery {
 
 /// Utilization callback for a ThreadPool (implemented by the observability

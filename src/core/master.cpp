@@ -78,13 +78,11 @@ ExperiMaster::ExperiMaster(const ExperimentDescription& description,
   }
   executor_ = std::make_unique<RunExecutor>(description_, platform_,
                                             executor_options());
-#if EXCOVERY_OBS_ENABLED
   if (options_.obs != nullptr) {
     obs_shard_ =
         std::make_unique<obs::MetricsShard>(options_.obs->make_shard());
     executor_->attach_obs(options_.obs, obs_shard_.get());
   }
-#endif
 }
 
 RunExecutorOptions ExperiMaster::executor_options() const {
@@ -151,7 +149,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
       !todo.empty() && todo.front()->run_id < max_completed;
   progress_total_ = todo.size();
   progress_done_.store(0, std::memory_order_relaxed);
-#if EXCOVERY_OBS_ENABLED
   obs::WallSpan runs_span;
   if (options_.obs != nullptr) {
     runs_span = obs::WallSpan(
@@ -160,13 +157,11 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
                         std::max<std::size_t>(workers, 1)),
         "master");
   }
-#endif
   if (workers <= 1 && !gap_resume) {
     EXC_TRY(run_all_sequential(todo));
   } else if (!todo.empty()) {
     EXC_TRY(run_all_sharded(todo, std::max<std::size_t>(workers, 1)));
   }
-#if EXCOVERY_OBS_ENABLED
   runs_span = obs::WallSpan();  // close the span before conditioning
   if (options_.obs != nullptr && obs_shard_ != nullptr) {
     // Fold the sequential path's shard into the merged view; re-arm it so a
@@ -174,7 +169,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
     options_.obs->merge_shard(*obs_shard_);
     *obs_shard_ = options_.obs->make_shard();
   }
-#endif
 
   platform_.level2()
       .node(kEnvironmentNode)
@@ -194,7 +188,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
   storage::ConditioningOptions conditioning;
   conditioning.experiment_name = description_.name;
   conditioning.comment = options_.comment;
-#if EXCOVERY_OBS_ENABLED
   obs::WallSpan condition_span;
   if (options_.obs != nullptr) {
     obs::ObsContext* obs = options_.obs;
@@ -210,7 +203,6 @@ Result<storage::ExperimentPackage> ExperiMaster::execute() {
                            obs->trace().wall_now_ns());
     };
   }
-#endif
   return storage::condition(platform_.level2(), description_.to_xml_text(),
                             conditioning);
 }
@@ -230,24 +222,20 @@ Status ExperiMaster::execute_with_retries(RunExecutor& executor,
       options_.progress(run, attempt, status.ok());
     }
     if (status.ok()) {
-#if EXCOVERY_OBS_ENABLED
       if (options_.obs != nullptr) {
         std::size_t done =
             progress_done_.fetch_add(1, std::memory_order_relaxed) + 1;
         options_.obs->report_progress(done, progress_total_, run.run_id,
                                       attempt);
       }
-#endif
       return {};
     }
     ++aborted;
-#if EXCOVERY_OBS_ENABLED
     // Only attempts that actually get another try count as retries.
     if (options_.obs != nullptr &&
         attempt < options_.max_attempts_per_run) {
       options_.obs->add(options_.obs->ids().runs_retries, 1);
     }
-#endif
     EXC_LOG_WARN(kComponent,
                  "run " << run.run_id << " attempt " << attempt
                         << " aborted: " << status.error().to_string());
@@ -284,14 +272,12 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
   auto work = [this, ctx] {
     std::unique_ptr<SimPlatform> replica;
     std::unique_ptr<RunExecutor> executor;
-#if EXCOVERY_OBS_ENABLED
     // Each worker records into its own shard — no synchronisation on the
     // hot path — and folds it into the context when its claim loop ends.
     // Counter merges commute and histogram sums use exact (order-invariant)
     // summation, so the merged totals do not depend on which worker claimed
     // which run.
     std::unique_ptr<obs::MetricsShard> shard;
-#endif
     for (;;) {
       std::size_t i = ctx->next.fetch_add(1, std::memory_order_relaxed);
       if (i >= ctx->todo.size()) break;
@@ -313,13 +299,11 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
         executor = std::make_unique<RunExecutor>(description_, *replica,
                                                  executor_options());
         ctx->note_worker_started();
-#if EXCOVERY_OBS_ENABLED
         if (options_.obs != nullptr) {
           shard = std::make_unique<obs::MetricsShard>(
               options_.obs->make_shard());
           executor->attach_obs(options_.obs, shard.get());
         }
-#endif
       }
       const RunSpec& run = *ctx->todo[i];
       slot.executed = true;
@@ -333,11 +317,9 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
       }
       ctx->note_finished();
     }
-#if EXCOVERY_OBS_ENABLED
     if (shard != nullptr && options_.obs != nullptr) {
       options_.obs->merge_shard(*shard);
     }
-#endif
     if (executor) ctx->note_worker_retired();
   };
 

@@ -44,15 +44,6 @@ Status validate(const TemporalSpec& temporal) {
 
 namespace {
 
-/// Obs-gated counter bump for the per-kind fault statistics.
-inline void count_one(std::uint64_t& counter) noexcept {
-#if EXCOVERY_OBS_ENABLED
-  ++counter;
-#else
-  (void)counter;
-#endif
-}
-
 /// True only at the origin transmit of a packet (route holds just the
 /// sender); relay transmits see the accumulated hop trace.
 inline bool at_origin(const net::Packet& packet) noexcept {
@@ -152,16 +143,14 @@ FaultHandle FaultInjector::schedule(std::string kind,
       [this, node_name, start_event, &kind_stats,
        activate = std::move(activate)] {
         activate();
-#if EXCOVERY_OBS_ENABLED
         ++activations_;
-#endif
-        count_one(kind_stats.activations);
+        ++kind_stats.activations;
         emit(node_name, start_event, Value{});
       },
       [this, node_name, stop_event, &kind_stats,
        deactivate = std::move(deactivate)] {
         deactivate();
-        count_one(kind_stats.deactivations);
+        ++kind_stats.deactivations;
         emit(node_name, stop_event, Value{});
       });
   fault->set_self(fault);
@@ -253,7 +242,7 @@ Result<FaultHandle> FaultInjector::message_loss(net::NodeId node,
                 return net::FilterVerdict::pass();
               }
               if (rng->bernoulli(probability)) {
-                count_one(ks.packets_dropped);
+                ++ks.packets_dropped;
                 return net::FilterVerdict::drop("fault:message_loss");
               }
               return net::FilterVerdict::pass();
@@ -283,7 +272,7 @@ Result<FaultHandle> FaultInjector::message_delay(net::NodeId node,
               if (!is_experiment_packet(packet, port)) {
                 return net::FilterVerdict::pass();
               }
-              count_one(ks.packets_delayed);
+              ++ks.packets_delayed;
               return net::FilterVerdict::delayed(delay);
             });
       },
@@ -322,7 +311,7 @@ Result<FaultHandle> FaultInjector::path_loss(net::NodeId node,
                 return net::FilterVerdict::pass();
               }
               if (rng->bernoulli(probability)) {
-                count_one(ks.packets_dropped);
+                ++ks.packets_dropped;
                 return net::FilterVerdict::drop("fault:path_loss");
               }
               return net::FilterVerdict::pass();
@@ -357,7 +346,7 @@ Result<FaultHandle> FaultInjector::path_delay(net::NodeId node,
               if (packet.src != peer_addr && packet.dst != peer_addr) {
                 return net::FilterVerdict::pass();
               }
-              count_one(ks.packets_delayed);
+              ++ks.packets_delayed;
               return net::FilterVerdict::delayed(delay);
             });
       },
@@ -381,7 +370,7 @@ Result<FaultHandle> FaultInjector::drop_all_packets(
               if (!is_experiment_packet(packet, port)) {
                 return net::FilterVerdict::pass();
               }
-              count_one(ks.packets_dropped);
+              ++ks.packets_dropped;
               return net::FilterVerdict::drop("fault:drop_all");
             });
       },
@@ -438,7 +427,7 @@ Result<FaultHandle> FaultInjector::ge_loss(net::NodeId node,
                 *in_bad = true;
               }
               if (drop) {
-                count_one(ks.packets_dropped);
+                ++ks.packets_dropped;
                 return net::FilterVerdict::drop("fault:ge_loss");
               }
               return net::FilterVerdict::pass();
@@ -489,7 +478,7 @@ Result<FaultHandle> FaultInjector::ge_path_loss(net::NodeId node,
                 *in_bad = true;
               }
               if (drop) {
-                count_one(ks.packets_dropped);
+                ++ks.packets_dropped;
                 return net::FilterVerdict::drop("fault:ge_path_loss");
               }
               return net::FilterVerdict::pass();
@@ -533,9 +522,7 @@ Result<FaultHandle> FaultInjector::message_duplicate(
                 return net::FilterVerdict::pass();
               }
               if (rng->bernoulli(probability)) {
-#if EXCOVERY_OBS_ENABLED
                 ks.packets_duplicated += static_cast<std::uint64_t>(copies);
-#endif
                 return net::FilterVerdict::duplicated(copies, gap);
               }
               return net::FilterVerdict::pass();
@@ -579,7 +566,7 @@ Result<FaultHandle> FaultInjector::message_reorder(
                 return net::FilterVerdict::pass();
               }
               if (rng->bernoulli(probability)) {
-                count_one(ks.packets_reordered);
+                ++ks.packets_reordered;
                 return net::FilterVerdict::delayed(sim::SimDuration(
                     rng->uniform_int(1, max_extra.nanos())));
               }

@@ -10,6 +10,10 @@ namespace excovery::storage {
 
 namespace {
 
+/// Node-store blob magic "NS3\0": events, packets, blobs, plugin data and
+/// run-scoped log segments.
+constexpr std::uint32_t kNodeStoreMagic = 0x4E533300;
+
 /// Move every element of `run_id` out of `src` (order preserved),
 /// compacting `src` in place.
 template <typename T>
@@ -114,7 +118,7 @@ void NodeStore::clear() {
 
 Bytes NodeStore::serialize() const {
   ByteWriter w;
-  w.u32(0x4E533300);  // "NS3\0"
+  w.u32(kNodeStoreMagic);
   w.u64(events_.size());
   for (const RawEvent& event : events_) {
     w.i64(event.run_id);
@@ -150,9 +154,7 @@ Bytes NodeStore::serialize() const {
 Result<NodeStore> NodeStore::deserialize(const Bytes& data) {
   ByteReader r(data);
   EXC_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
-  // 0x4E533200 ("NS2"): single concatenated log string at the tail.
-  // 0x4E533300 ("NS3"): run-scoped log segments.
-  if (magic != 0x4E533200 && magic != 0x4E533300) {
+  if (magic != kNodeStoreMagic) {
     return err_io("not a node store blob");
   }
   NodeStore store;
@@ -187,19 +189,12 @@ Result<NodeStore> NodeStore::deserialize(const Bytes& data) {
   };
   EXC_TRY(read_blobs(store.blobs_));
   EXC_TRY(read_blobs(store.plugin_data_));
-  if (magic == 0x4E533200) {
-    // Legacy store: the whole log becomes one experiment-scoped segment.
-    std::string legacy_log;
-    EXC_ASSIGN_OR_RETURN(legacy_log, r.string());
-    store.append_log(std::move(legacy_log));
-  } else {
-    EXC_ASSIGN_OR_RETURN(std::uint64_t segment_count, r.u64());
-    for (std::uint64_t i = 0; i < segment_count; ++i) {
-      LogSegment segment;
-      EXC_ASSIGN_OR_RETURN(segment.run_id, r.i64());
-      EXC_ASSIGN_OR_RETURN(segment.text, r.string());
-      store.log_segments_.push_back(std::move(segment));
-    }
+  EXC_ASSIGN_OR_RETURN(std::uint64_t segment_count, r.u64());
+  for (std::uint64_t i = 0; i < segment_count; ++i) {
+    LogSegment segment;
+    EXC_ASSIGN_OR_RETURN(segment.run_id, r.i64());
+    EXC_ASSIGN_OR_RETURN(segment.text, r.string());
+    store.log_segments_.push_back(std::move(segment));
   }
   return store;
 }

@@ -520,6 +520,12 @@ Status Table::deserialize_columns(ByteReader& reader, std::uint64_t rows) {
     if (block_size > reader.remaining()) {
       return err_io("column block for '" + column.name + "' is truncated");
     }
+    // Every row takes at least one byte of the block; check before any
+    // allocation sized by the row count.
+    if (rows > block_size) {
+      return err_io("column block for '" + column.name +
+                    "' is too short for its row count");
+    }
     const std::size_t block_end = reader.position() + block_size;
     EXC_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8());
     if (kind != static_cast<std::uint8_t>(store.kind)) {

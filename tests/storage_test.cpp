@@ -292,38 +292,68 @@ TEST(Database, SerializationIsDeterministic) {
   EXPECT_EQ(db.serialize(), first);
 }
 
-TEST(Database, LegacyV1FormatStillReadable) {
-  // Hand-written version-1 image: cell-by-cell tagged Values, row major.
+TEST(Database, LegacyV1FormatRejected) {
+  // Version 1 (cell-by-cell tagged Values) is no longer read: a v1 header
+  // fails cleanly with the version in the message.
   ByteWriter w;
   w.u32(0x45584342);  // magic
-  w.u16(1);           // legacy version
+  w.u16(1);           // retired version
   w.u32(1);           // one table
   w.string("Points");
-  w.u16(3);
+  w.u16(1);
   w.string("Id");
   w.u8(static_cast<std::uint8_t>(ValueType::kInt));
   w.u8(0);
-  w.string("Label");
-  w.u8(static_cast<std::uint8_t>(ValueType::kString));
-  w.u8(1);
-  w.string("X");
-  w.u8(static_cast<std::uint8_t>(ValueType::kDouble));
-  w.u8(0);
-  w.u64(2);
+  w.u64(1);
   w.value(Value{1});
-  w.value(Value{"a"});
-  w.value(Value{0.5});
-  w.value(Value{2});
-  w.value(Value{});
-  w.value(Value{1.5});
 
   Result<Database> db = Database::deserialize(w.take());
-  ASSERT_TRUE(db.ok());
-  const Table* t = db.value().table("Points");
-  ASSERT_NE(t, nullptr);
-  ASSERT_EQ(t->row_count(), 2u);
-  EXPECT_EQ(t->row(0).materialize(), (Row{Value{1}, Value{"a"}, Value{0.5}}));
-  EXPECT_TRUE(t->row(1).is_null(1));
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.error().code(), ErrorCode::kIo);
+  EXPECT_NE(db.error().message().find("version 1"), std::string::npos)
+      << db.error().to_string();
+}
+
+TEST(Database, CorruptLengthPrefixesRejected) {
+  // An array count larger than the input is an error, not an allocation.
+  const Bytes array_header = {static_cast<std::uint8_t>(ValueType::kArray),
+                              0xff, 0xff, 0xff, 0xff};
+  ByteReader reader(array_header);
+  Result<Value> value = reader.value();
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.error().code(), ErrorCode::kIo);
+
+  // A one-row table whose row count is patched to 2^44, for the string and
+  // the generic column store (numeric stores already bound-check the read).
+  for (ValueType type : {ValueType::kString, ValueType::kBytes}) {
+    Database db;
+    Table* t = db.create_table({"T", {{"C", type, false}}}).value();
+    ASSERT_TRUE(t->insert({type == ValueType::kString ? Value{"x"}
+                                                      : Value{Bytes{7}}})
+                    .ok());
+    Bytes image = db.serialize();
+    ASSERT_TRUE(Database::deserialize(image).ok());
+    // The row count follows the header and the one-column schema.
+    ByteWriter header;
+    header.u32(0x45584342);
+    header.u16(2);
+    header.u32(1);
+    header.string("T");
+    header.u16(1);
+    header.string("C");
+    header.u8(static_cast<std::uint8_t>(type));
+    header.u8(0);
+    const std::size_t offset = header.take().size();
+    ByteWriter rows;
+    rows.u64(std::uint64_t{1} << 44);
+    const Bytes patch = rows.take();
+    ASSERT_LE(offset + patch.size(), image.size());
+    std::copy(patch.begin(), patch.end(),
+              image.begin() + static_cast<std::ptrdiff_t>(offset));
+    Result<Database> bad = Database::deserialize(image);
+    ASSERT_FALSE(bad.ok()) << to_string(type);
+    EXPECT_EQ(bad.error().code(), ErrorCode::kIo) << bad.error().to_string();
+  }
 }
 
 TEST(Database, CorruptV2ImagesRejected) {
