@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <ctime>
 #include <memory>
@@ -64,11 +65,54 @@ T must(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
-/// Upper-middle median over repetitions: the statistic the overhead
-/// benches gate on (bench_provenance keeps its own averaging median).
+/// Upper-middle median over repetitions, for reported per-mode times.
 inline double median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   return values[values.size() / 2];
+}
+
+/// Process CPU time (user + system, all threads) in seconds.  Unlike the
+/// wall clock it does not charge a bench for time the VM spent preempted,
+/// the dominant noise at the 3% resolution of the overhead gates.
+inline double cpu_seconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Times run(m) for the three modes m = 0, 1, 2 back to back in every
+/// repetition, rotating which mode goes first so that none always inherits
+/// the cache and frequency state of a fixed predecessor (with a repetition
+/// count divisible by 3 every mode takes every position equally often).
+/// times[m][rep] pairs with times[0][rep] for paired_overhead_percent.
+template <typename Run>
+std::array<std::vector<double>, 3> interleaved_times(int reps, Run&& run) {
+  static constexpr std::size_t kRotations[3][3] = {
+      {0, 1, 2}, {1, 2, 0}, {2, 0, 1}};
+  std::array<std::vector<double>, 3> times;
+  for (int rep = 0; rep < reps; ++rep) {
+    double rep_times[3];
+    for (std::size_t m : kRotations[rep % 3]) rep_times[m] = run(m);
+    for (std::size_t m = 0; m < 3; ++m) times[m].push_back(rep_times[m]);
+  }
+  return times;
+}
+
+/// The overhead gates' statistic: the median over repetitions of
+/// (mode - base) / base in percent, where base[i] and mode[i] ran back to
+/// back in repetition i.  Pairing cancels the drift between repetitions
+/// that a ratio of per-mode medians (taken in different repetitions) keeps.
+inline double paired_overhead_percent(const std::vector<double>& base,
+                                      const std::vector<double>& mode) {
+  std::vector<double> percents;
+  for (std::size_t i = 0; i < base.size() && i < mode.size(); ++i) {
+    percents.push_back((mode[i] - base[i]) / base[i] * 100.0);
+  }
+  std::sort(percents.begin(), percents.end());
+  const std::size_t n = percents.size();
+  return n % 2 == 1 ? percents[n / 2]
+                    : (percents[n / 2 - 1] + percents[n / 2]) / 2.0;
 }
 
 /// Local date as YYYY-MM-DD, the `date` field of the curated BENCH_*.json.

@@ -18,9 +18,9 @@
 //
 // Flags:
 //   --smoke     tiny iteration counts, no JSON, WARN-only gate — CI gate
-//   --reps N    repetitions per mode (default 5, median taken)
+//   --reps N    repetitions per mode (default 9; gate = median of
+//               per-repetition paired overheads on process CPU time)
 //   --out PATH  override the JSON output path (default BENCH_obs.json)
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -46,8 +46,11 @@ using excovery::net::Packet;
 using excovery::sim::SimDuration;
 using namespace excovery::core;
 using scenario::TwoPartyOptions;
+using excovery::bench::cpu_seconds;
+using excovery::bench::interleaved_times;
 using excovery::bench::lossless_link;
 using excovery::bench::median;
+using excovery::bench::paired_overhead_percent;
 using excovery::bench::today;
 
 enum class Mode { kOff, kMetrics, kTrace };
@@ -112,15 +115,15 @@ double flood_grid(Mode mode, std::size_t side, int floods) {
   scheduler.run();
   network.reset_run_state();
 
-  auto start = std::chrono::steady_clock::now();
+  const double start = cpu_seconds();
   for (int i = 0; i < floods; ++i) {
     send_flood();
     scheduler.run();
     network.reset_run_state();  // clear dedup sets between floods
   }
-  auto stop = std::chrono::steady_clock::now();
+  const double stop = cpu_seconds();
   if (delivered == 0) std::abort();
-  return std::chrono::duration<double>(stop - start).count();
+  return stop - start;
 }
 
 /// Unicast hop chain: every packet crosses length-1 links.
@@ -150,14 +153,14 @@ double unicast_chain(Mode mode, std::size_t length, int batches) {
   send_one();  // warm-up
   scheduler.run();
 
-  auto start = std::chrono::steady_clock::now();
+  const double start = cpu_seconds();
   for (int i = 0; i < batches; ++i) {
     for (int j = 0; j < 16; ++j) send_one();
     scheduler.run();
   }
-  auto stop = std::chrono::steady_clock::now();
+  const double stop = cpu_seconds();
   if (delivered == 0) std::abort();
-  return std::chrono::duration<double>(stop - start).count();
+  return stop - start;
 }
 
 /// Scheduler schedule/run churn with the per-attempt sampling the obs layer
@@ -178,7 +181,7 @@ double scheduler_churn(Mode mode, std::size_t batch, int iterations) {
   }
   scheduler.run();
 
-  auto start = std::chrono::steady_clock::now();
+  const double start = cpu_seconds();
   std::uint64_t last_executed = scheduler.executed();
   for (int it = 0; it < iterations; ++it) {
     for (std::size_t i = 0; i < batch; ++i) {
@@ -194,22 +197,22 @@ double scheduler_churn(Mode mode, std::size_t batch, int iterations) {
                       static_cast<std::int64_t>(scheduler.max_pending()));
     }
   }
-  auto stop = std::chrono::steady_clock::now();
+  const double stop = cpu_seconds();
   if (sink == 0) std::abort();
-  return std::chrono::duration<double>(stop - start).count();
+  return stop - start;
 }
 
 struct Workload {
   std::string name;
   double items_per_iteration = 0.0;  ///< for items/s reporting
-  std::function<double(Mode)> run;   ///< returns seconds for the fixed loop
+  std::function<double(Mode)> run;   ///< CPU seconds for the fixed loop
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  int reps = 5;
+  int reps = 9;
   std::string out = "BENCH_obs.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -249,35 +252,29 @@ int main(int argc, char** argv) {
   struct Line {
     std::string workload;
     double off_s = 0.0, metrics_s = 0.0, trace_s = 0.0;
+    double metrics_pct = 0.0, trace_pct = 0.0;
     double items = 0.0;
   };
   std::vector<Line> lines;
 
   for (const Workload& workload : workloads) {
-    std::vector<double> times[3];
-    // Interleave modes within each repetition so clock drift (thermal,
-    // noisy neighbours) biases no mode.
-    for (int rep = 0; rep < reps; ++rep) {
-      for (std::size_t m = 0; m < 3; ++m) {
-        times[m].push_back(workload.run(kModes[m]));
-      }
-    }
+    const auto times = interleaved_times(
+        reps, [&](std::size_t m) { return workload.run(kModes[m]); });
     Line line;
     line.workload = workload.name;
     line.items = workload.items_per_iteration;
     line.off_s = median(times[0]);
     line.metrics_s = median(times[1]);
     line.trace_s = median(times[2]);
-    const double metrics_pct =
-        (line.metrics_s - line.off_s) / line.off_s * 100.0;
-    const double trace_pct = (line.trace_s - line.off_s) / line.off_s * 100.0;
+    line.metrics_pct = paired_overhead_percent(times[0], times[1]);
+    line.trace_pct = paired_overhead_percent(times[0], times[2]);
     std::printf("  %-18s off %8.2f Mitems/s   metrics %+6.2f%% %s   "
                 "trace %+7.2f%% (not gated)\n",
                 workload.name.c_str(), line.items / line.off_s / 1e6,
-                metrics_pct,
-                metrics_pct <= budget_percent ? "PASS" : "OVER-BUDGET",
-                trace_pct);
-    if (metrics_pct > budget_percent) over_budget = true;
+                line.metrics_pct,
+                line.metrics_pct <= budget_percent ? "PASS" : "OVER-BUDGET",
+                line.trace_pct);
+    if (line.metrics_pct > budget_percent) over_budget = true;
     lines.push_back(std::move(line));
   }
 
@@ -330,7 +327,9 @@ int main(int argc, char** argv) {
       "MetricsShard). overhead_percent is the gated value (budget 3%); "
       "trace_overhead_percent additionally installs the per-packet "
       "lifecycle hook emitting into a live TraceBuffer, which is opt-in "
-      "and not gated. Median over interleaved repetitions; the bench also "
+      "and not gated. Times are process CPU time; rates are per-mode "
+      "medians over interleaved repetitions, and both overheads are the "
+      "median of per-repetition paired overheads. The bench also "
       "verifies a full experiment package is bit-identical with the "
       "complete obs stack attached.\",\n";
   json += " \"machine\": \"vm\",\n";
@@ -350,9 +349,7 @@ int main(int argc, char** argv) {
         "  }",
         line.workload.c_str(), line.items / line.off_s,
         line.off_s / line.items * 1e9, line.items / line.metrics_s,
-        line.metrics_s / line.items * 1e9,
-        (line.metrics_s - line.off_s) / line.off_s * 100.0,
-        (line.trace_s - line.off_s) / line.off_s * 100.0);
+        line.metrics_s / line.items * 1e9, line.metrics_pct, line.trace_pct);
   }
   json += "\n }\n}\n";
 

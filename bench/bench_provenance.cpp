@@ -19,10 +19,7 @@
 //   --reps N    repetitions per mode (default 9; throughput = fastest rep,
 //               gate = median of per-rep paired overheads)
 //   --out PATH  override the JSON output path (default BENCH_provenance.json)
-#include <ctime>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +43,10 @@ using excovery::net::Address;
 using excovery::net::NodeId;
 using excovery::net::Packet;
 using excovery::sim::SimDuration;
+using excovery::bench::cpu_seconds;
+using excovery::bench::interleaved_times;
 using excovery::bench::lossless_link;
+using excovery::bench::paired_overhead_percent;
 using excovery::bench::today;
 
 enum class Mode { kOff, kRing, kGraph };
@@ -57,27 +57,6 @@ enum class Mode { kOff, kRing, kGraph };
 // for the reported throughput.
 double best(const std::vector<double>& values) {
   return *std::min_element(values.begin(), values.end());
-}
-
-// Median over repetitions: the gate statistic.  Overheads are computed
-// per repetition from modes that ran back-to-back (pairing cancels the
-// rep-scale drift that dominates on this host), and the median resists
-// the single lucky/unlucky repetition that would swing a minimum.
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2]
-                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
-}
-
-// Process CPU time: unlike the wall clock it does not charge the benchmark
-// for time the VM spent preempted, which on a shared single-core host is
-// the dominant noise source at the 3% resolution this gate needs.
-double cpu_seconds() {
-  timespec ts;
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 void attach(excovery::net::Network& network, excovery::sim::LineageLog& log,
@@ -308,23 +287,8 @@ int main(int argc, char** argv) {
   std::vector<Line> lines;
 
   auto measure = [&](const Workload& workload) {
-    std::vector<double> times[3];
-    // Interleave modes within each repetition so clock drift (thermal,
-    // noisy neighbours) biases no mode, and rotate the execution order
-    // per repetition so no mode systematically inherits the cache /
-    // frequency state of a fixed predecessor — with a rep count divisible
-    // by 3 every mode occupies every position equally often.
-    static const std::size_t kRotations[3][3] = {
-        {0, 1, 2}, {1, 2, 0}, {2, 0, 1}};
-    for (int rep = 0; rep < reps; ++rep) {
-      const std::size_t* order = kRotations[rep % 3];
-      double rep_times[3];
-      for (std::size_t slot = 0; slot < 3; ++slot) {
-        const std::size_t m = order[slot];
-        rep_times[m] = workload.run(kModes[m]);
-      }
-      for (std::size_t m = 0; m < 3; ++m) times[m].push_back(rep_times[m]);
-    }
+    const auto times = interleaved_times(
+        reps, [&](std::size_t m) { return workload.run(kModes[m]); });
     Line line;
     line.workload = workload.name;
     line.items = workload.items_per_iteration;
@@ -336,15 +300,8 @@ int main(int argc, char** argv) {
     // repetition the three modes run back-to-back, so the ratio cancels
     // drift that the per-mode minima (taken in different repetitions)
     // would not.
-    std::vector<double> ring_pcts, graph_pcts;
-    for (int rep = 0; rep < reps; ++rep) {
-      ring_pcts.push_back((times[1][rep] - times[0][rep]) / times[0][rep] *
-                          100.0);
-      graph_pcts.push_back((times[2][rep] - times[0][rep]) / times[0][rep] *
-                           100.0);
-    }
-    line.ring_pct = median(std::move(ring_pcts));
-    line.graph_pct = median(std::move(graph_pcts));
+    line.ring_pct = paired_overhead_percent(times[0], times[1]);
+    line.graph_pct = paired_overhead_percent(times[0], times[2]);
     return line;
   };
 

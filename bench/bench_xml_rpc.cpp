@@ -15,8 +15,9 @@
 //    digests/s (the streaming path never materialises the canonical
 //    string); both implementations must produce the same digest;
 //  * heap allocations per parse and per digest for both implementations;
-//  * XML-RPC round trip (encode + decode of a struct-carrying call) —
-//    reported for trajectory, not gated.
+//  * XML-RPC round trip (encode + decode of a struct-carrying call through
+//    the streaming codec, which builds no DOM) — time, allocations and the
+//    spread over repetitions, reported for trajectory, not gated.
 //
 // Results go to BENCH_xml.json (curated format, bench/collect_bench.py).
 //
@@ -555,10 +556,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Median seconds per call of fn() over `reps` repetitions of `iters`
-/// timed iterations.
+/// Seconds per call of fn(), one sample per repetition of `iters` timed
+/// iterations.
 template <typename Fn>
-double time_per_call(int reps, int iters, Fn&& fn) {
+std::vector<double> samples_per_call(int reps, int iters, Fn&& fn) {
   std::vector<double> times;
   times.reserve(static_cast<std::size_t>(reps));
   for (int rep = 0; rep < reps; ++rep) {
@@ -566,7 +567,13 @@ double time_per_call(int reps, int iters, Fn&& fn) {
     for (int i = 0; i < iters; ++i) fn();
     times.push_back(seconds_since(start) / iters);
   }
-  return median(times);
+  return times;
+}
+
+/// Median seconds per call of fn() over `reps` repetitions.
+template <typename Fn>
+double time_per_call(int reps, int iters, Fn&& fn) {
+  return median(samples_per_call(reps, iters, fn));
 }
 
 /// Heap allocations for a single fn() call.
@@ -686,11 +693,19 @@ int main(int argc, char** argv) {
   excovery::ValueArray batch;
   for (int i = 0; i < 16; ++i) batch.push_back(excovery::Value{args});
   excovery::rpc::MethodCall call{"sd_init", {excovery::Value{batch}}};
-  const double rpc_s = time_per_call(reps, iters, [&] {
+  auto rpc_round_trip = [&] {
     Result<excovery::rpc::MethodCall> back =
         excovery::rpc::decode_call(excovery::rpc::encode(call));
     if (!back.ok()) std::abort();
-  });
+  };
+  const std::vector<double> rpc_samples =
+      samples_per_call(reps, iters, rpc_round_trip);
+  const double rpc_s = median(rpc_samples);
+  const double rpc_min_s =
+      *std::min_element(rpc_samples.begin(), rpc_samples.end());
+  const double rpc_max_s =
+      *std::max_element(rpc_samples.begin(), rpc_samples.end());
+  const std::uint64_t rpc_allocs = allocs_per_call(rpc_round_trip);
 
   const double mb = static_cast<double>(xml_text.size()) / (1024.0 * 1024.0);
   std::printf("  parse:  seed %8.1f us (%llu allocs)   current %8.1f us "
@@ -707,7 +722,9 @@ int main(int argc, char** argv) {
               digest_new_s * 1e6,
               static_cast<unsigned long long>(digest_new_allocs),
               digest_speedup);
-  std::printf("  rpc round trip: %8.1f us\n", rpc_s * 1e6);
+  std::printf("  rpc round trip: %8.2f us (%llu allocs, reps %.2f-%.2f us)\n",
+              rpc_s * 1e6, static_cast<unsigned long long>(rpc_allocs),
+              rpc_min_s * 1e6, rpc_max_s * 1e6);
 
   const double gate = 3.0;
   bool failed = false;
@@ -734,8 +751,11 @@ int main(int argc, char** argv) {
       "the live arena DOM / in-situ parser / streaming canonical digest, "
       "racing on the same generated experiment description. Both parse and "
       "digest are gated >= 3x outside --smoke, and the two canonical "
-      "digests must be byte-identical. allocations are heap allocations "
-      "for a single call. Median over repetitions.\",\n";
+      "digests must be byte-identical. rpc_round_trip encodes and decodes "
+      "a 16-struct call through the streaming XML-RPC codec (no DOM, "
+      "\u00a715); its cpu_time_ns_min/max are the fastest and slowest "
+      "repetition. allocations are heap allocations for a single call. "
+      "Median over repetitions.\",\n";
   json += " \"machine\": \"vm\",\n";
   json += " \"date\": \"" + today() + "\",\n";
   json += " \"benchmarks\": {\n";
@@ -768,9 +788,14 @@ int main(int argc, char** argv) {
       digest_speedup, digest_new.c_str());
   json += excovery::strings::format(
       "  \"BM_Xml/rpc_round_trip\": {\n"
-      "   \"current\": {\"items_per_second\": %.1f, \"cpu_time_ns\": %.0f}\n"
+      "   \"current\": {\"items_per_second\": %.1f, \"cpu_time_ns\": %.0f, "
+      "\"allocations\": %llu},\n"
+      "   \"cpu_time_ns_min\": %.0f,\n"
+      "   \"cpu_time_ns_max\": %.0f,\n"
+      "   \"repetitions\": %d\n"
       "  }\n",
-      1.0 / rpc_s, rpc_s * 1e9);
+      1.0 / rpc_s, rpc_s * 1e9, static_cast<unsigned long long>(rpc_allocs),
+      rpc_min_s * 1e9, rpc_max_s * 1e9, reps);
   json += " }\n}\n";
 
   std::FILE* file = std::fopen(out.c_str(), "w");

@@ -150,7 +150,13 @@ Result<Bytes> ByteReader::raw(std::size_t size) {
   return out;
 }
 
-Result<Value> ByteReader::value() {
+Result<Value> ByteReader::value() { return value_at(0); }
+
+Result<Value> ByteReader::value_at(int depth) {
+  if (depth > kMaxValueDepth) {
+    return err_io("value nested deeper than " +
+                  std::to_string(kMaxValueDepth) + " levels");
+  }
   EXC_ASSIGN_OR_RETURN(std::uint8_t tag, u8());
   switch (static_cast<ValueType>(tag)) {
     case ValueType::kNull:
@@ -182,7 +188,7 @@ Result<Value> ByteReader::value() {
       ValueArray arr;
       arr.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
-        EXC_ASSIGN_OR_RETURN(Value item, value());
+        EXC_ASSIGN_OR_RETURN(Value item, value_at(depth + 1));
         arr.push_back(std::move(item));
       }
       return Value{std::move(arr)};
@@ -192,7 +198,7 @@ Result<Value> ByteReader::value() {
       ValueMap map;
       for (std::uint32_t i = 0; i < count; ++i) {
         EXC_ASSIGN_OR_RETURN(std::string key, string());
-        EXC_ASSIGN_OR_RETURN(Value item, value());
+        EXC_ASSIGN_OR_RETURN(Value item, value_at(depth + 1));
         map.emplace(std::move(key), std::move(item));
       }
       return Value{std::move(map)};

@@ -59,12 +59,18 @@ class ByteReader {
   Result<double> f64();
   Result<std::string> string();
   Result<Bytes> blob();
+  /// A value written by ByteWriter::value.  Nesting deeper than
+  /// kMaxValueDepth array/map levels is a kIo error, so corrupt input
+  /// cannot exhaust the stack.
   Result<Value> value();
   /// Copy out `size` raw bytes.
   Result<Bytes> raw(std::size_t size);
 
+  static constexpr int kMaxValueDepth = 1024;
+
  private:
   Status need(std::size_t n) const;
+  Result<Value> value_at(int depth);
 
   const std::uint8_t* data_;
   std::size_t size_;

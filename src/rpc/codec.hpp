@@ -5,14 +5,20 @@
 // ref [23], Winer's spec).  This codec implements the spec's data model:
 // <methodCall> / <methodResponse>, scalar types (i4/int, boolean, double,
 // string, base64, dateTime omitted), <array> and <struct>, plus the widely
-// deployed <nil/> extension — mapped onto excovery::Value.
+// deployed <nil/> and <i8> extensions — mapped onto excovery::Value.
+//
+// It works on the text directly: the encoder appends into one string and
+// the decoder is a single-pass pull reader, so no DOM is built for a
+// message (DESIGN.md §15).  String content — <string>, <name>,
+// <methodName> and bare <value> text — is sent and read back exactly,
+// leading and trailing whitespace included.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/value.hpp"
-#include "xml/dom.hpp"
 
 namespace excovery::rpc {
 
@@ -47,13 +53,14 @@ struct MethodResponse {
 std::string encode(const MethodCall& call);
 std::string encode(const MethodResponse& response);
 
-/// Parse XML-RPC document text.
-Result<MethodCall> decode_call(const std::string& xml_text);
-Result<MethodResponse> decode_response(const std::string& xml_text);
+/// Parse XML-RPC document text.  Anything outside the XML-RPC grammar is a
+/// kParse error, never a crash or an exception.
+Result<MethodCall> decode_call(std::string_view xml_text);
+Result<MethodResponse> decode_response(std::string_view xml_text);
 
-/// Value <-> <value> element (exposed for tests and for embedding values in
-/// experiment documents).
-void encode_value(const Value& value, xml::Element& parent);
-Result<Value> decode_value(const xml::Element& value_element);
+/// One value as the text of its <value> element, exactly as it appears
+/// inside a message, and back (exposed for tests).
+std::string encode_value(const Value& value);
+Result<Value> decode_value(std::string_view value_text);
 
 }  // namespace excovery::rpc

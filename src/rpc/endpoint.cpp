@@ -23,23 +23,17 @@ Result<std::string> RpcServer::handle(const std::string& request_xml) {
 }
 
 MethodResponse RpcServer::dispatch(const MethodCall& call) {
-  Method method;
-  {
-    std::lock_guard lock(mutex_);
-    auto it = methods_.find(call.method);
-    if (it == methods_.end()) {
-      return MethodResponse::fault(
-          -32601, "method not found: " + call.method);
-    }
-    method = it->second;
-  }
-  // Hold the lock across execution as well: the prototype allows "only one
-  // access at a time" per node object.  Re-acquire to serialise bodies.
+  // One lock for lookup and execution: the prototype allows "only one
+  // access at a time" per node object, and the method runs in place rather
+  // than from a per-call copy of its std::function.
   std::lock_guard lock(mutex_);
-  Result<Value> outcome = method(call.params);
+  auto it = methods_.find(call.method);
+  if (it == methods_.end()) {
+    return MethodResponse::fault(-32601, "method not found: " + call.method);
+  }
+  Result<Value> outcome = it->second(call.params);
   if (!outcome.ok()) {
-    return MethodResponse::fault(
-        -32000, outcome.error().to_string());
+    return MethodResponse::fault(-32000, outcome.error().to_string());
   }
   return MethodResponse::success(std::move(outcome).value());
 }

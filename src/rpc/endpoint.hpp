@@ -8,9 +8,11 @@
 //
 // The transport abstraction is the seam between ExCovery and the platform:
 // the in-process transport models the DES testbed's dedicated wired control
-// network (separate, reliable, non-interfering, §IV-A1).  Requests round-
-// trip through the full XML-RPC encode/decode path so the codec is genuinely
-// on the control path, as in the prototype.
+// network (separate, reliable, non-interfering, §IV-A1).  Requests and
+// responses travel as XML-RPC document text, so the codec is genuinely on
+// the control path, as in the prototype.  The codec reads and writes that
+// text directly, with no DOM per message (DESIGN.md §15), and dispatch
+// runs the registered method in place under one lock.
 #pragma once
 
 #include <functional>
@@ -25,7 +27,8 @@
 namespace excovery::rpc {
 
 /// Server-side registry of callable methods.  Dispatch is serialised by a
-/// per-server mutex (the prototype's node-object locking).
+/// per-server mutex (the prototype's node-object locking), held once for
+/// lookup and execution.
 class RpcServer {
  public:
   using Method = std::function<Result<Value>(const ValueArray& params)>;

@@ -56,6 +56,72 @@ constexpr bool is_name_char(char c) noexcept {
   return is_name_start(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
 }
 
+/// Longest reference body accepted between '&' and ';' ("#x10FFFF").
+constexpr std::size_t kMaxReferenceBody = 8;
+
+/// Decode one reference body — the bytes between '&' and ';': amp, lt, gt,
+/// apos, quot, #NN or #xNN — appending its UTF-8 bytes to `out`.  Returns
+/// nullptr on success, else what is wrong with it.
+const char* append_reference(std::string_view entity, std::string& out) {
+  if (entity == "amp") {
+    out.push_back('&');
+    return nullptr;
+  }
+  if (entity == "lt") {
+    out.push_back('<');
+    return nullptr;
+  }
+  if (entity == "gt") {
+    out.push_back('>');
+    return nullptr;
+  }
+  if (entity == "apos") {
+    out.push_back('\'');
+    return nullptr;
+  }
+  if (entity == "quot") {
+    out.push_back('"');
+    return nullptr;
+  }
+  if (entity.empty() || entity[0] != '#') return "unknown entity";
+  int base = 10;
+  std::size_t from = 1;
+  if (entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X')) {
+    base = 16;
+    from = 2;
+  }
+  unsigned long code = 0;
+  for (std::size_t i = from; i < entity.size(); ++i) {
+    char c = entity[i];
+    int digit;
+    if (c >= '0' && c <= '9') digit = c - '0';
+    else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
+    else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
+    else
+      return "bad character reference";
+    code = code * static_cast<unsigned long>(base) +
+           static_cast<unsigned long>(digit);
+    if (code > 0x10FFFF) return "character reference out of range";
+  }
+  // UTF-8 encode.
+  if (code < 0x80) {
+    out.push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else if (code < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+  return nullptr;
+}
+
 /// Single-pass recursive-descent parser over the document's retained
 /// source.  No per-character position bookkeeping: line/column for error
 /// messages are recovered by scanning the prefix only when an error is
@@ -139,78 +205,23 @@ class Parser {
     return view(start, pos_);
   }
 
-  /// Decode &amp; &lt; &gt; &apos; &quot; &#NN; &#xNN; — the '&' is
-  /// already consumed; the decoded bytes are appended to `out`.
+  /// Decode one reference — the '&' is already consumed; the decoded
+  /// bytes are appended to `out`.
   Status append_entity(std::string& out) {
     std::size_t start = pos_;
     while (pos_ < in_.size() && in_[pos_] != ';') {
       ++pos_;
-      if (pos_ - start > 8) return error("unterminated entity reference");
+      if (pos_ - start > kMaxReferenceBody) {
+        return error("unterminated entity reference");
+      }
     }
     if (pos_ >= in_.size()) return error("unterminated entity reference");
     std::string_view entity = view(start, pos_);
     ++pos_;  // ';'
-    if (entity == "amp") {
-      out.push_back('&');
-      return {};
+    if (const char* problem = append_reference(entity, out)) {
+      return error(problem + (" &" + std::string(entity) + ";"));
     }
-    if (entity == "lt") {
-      out.push_back('<');
-      return {};
-    }
-    if (entity == "gt") {
-      out.push_back('>');
-      return {};
-    }
-    if (entity == "apos") {
-      out.push_back('\'');
-      return {};
-    }
-    if (entity == "quot") {
-      out.push_back('"');
-      return {};
-    }
-    if (!entity.empty() && entity[0] == '#') {
-      int base = 10;
-      std::size_t from = 1;
-      if (entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X')) {
-        base = 16;
-        from = 2;
-      }
-      unsigned long code = 0;
-      for (std::size_t i = from; i < entity.size(); ++i) {
-        char c = entity[i];
-        int digit;
-        if (c >= '0' && c <= '9') digit = c - '0';
-        else if (base == 16 && c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-        else if (base == 16 && c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-        else
-          return error("bad character reference &" + std::string(entity) + ";");
-        code = code * static_cast<unsigned long>(base) +
-               static_cast<unsigned long>(digit);
-        if (code > 0x10FFFF) {
-          return error("character reference out of range");
-        }
-      }
-      // UTF-8 encode.
-      if (code < 0x80) {
-        out.push_back(static_cast<char>(code));
-      } else if (code < 0x800) {
-        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      } else if (code < 0x10000) {
-        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      } else {
-        out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-      }
-      return {};
-    }
-    return error("unknown entity &" + std::string(entity) + ";");
+    return {};
   }
 
   Status skip_comment() {
@@ -397,6 +408,28 @@ Result<Document> parse(std::string&& input) {
 
 Result<Document> parse(std::string_view input) {
   return parse(std::string(input));
+}
+
+Status append_unescaped(std::string_view text, std::string& out) {
+  std::size_t pos = 0;
+  for (;;) {
+    std::size_t amp = text.find('&', pos);
+    if (amp == std::string_view::npos) {
+      out.append(text, pos);
+      return {};
+    }
+    out.append(text, pos, amp - pos);
+    std::string_view entity = text.substr(amp + 1, kMaxReferenceBody + 1);
+    std::size_t semi = entity.find(';');
+    if (semi == std::string_view::npos) {
+      return err_parse("unterminated entity reference");
+    }
+    entity = entity.substr(0, semi);
+    if (const char* problem = append_reference(entity, out)) {
+      return err_parse(problem + (" &" + std::string(entity) + ";"));
+    }
+    pos = amp + semi + 2;
+  }
 }
 
 std::string escape_text(std::string_view text) {

@@ -34,6 +34,11 @@ inline Result<Document> parse(const char* input) {
   return parse(std::string_view(input));
 }
 
+/// Append `text` to `out` with its references (&amp; &lt; &gt; &apos;
+/// &quot; &#NN; &#xNN;) decoded: the parser's own unescaper, for readers
+/// that scan XML text without building a Document (the XML-RPC codec).
+Status append_unescaped(std::string_view text, std::string& out);
+
 /// Escape character data for inclusion in XML text ("&", "<", ">").
 std::string escape_text(std::string_view text);
 

@@ -383,6 +383,58 @@ TEST(Database, CorruptV2ImagesRejected) {
   EXPECT_FALSE(Database::deserialize(flipped).ok());
 }
 
+/// `levels` nested one-element arrays around a null, in ByteWriter::value
+/// format, written directly so no deep Value is ever built.
+Bytes nested_arrays(int levels) {
+  ByteWriter w;
+  for (int i = 0; i < levels; ++i) {
+    w.u8(static_cast<std::uint8_t>(ValueType::kArray));
+    w.u32(1);
+  }
+  w.u8(static_cast<std::uint8_t>(ValueType::kNull));
+  return w.take();
+}
+
+TEST(Database, DeeplyNestedCellRejected) {
+  // A one-row array column; its column block is the image's tail: u64 size,
+  // kind byte, then the cell.
+  Database db;
+  Table* t = db.create_table({"Nested", {{"A", ValueType::kArray, true}}})
+                 .value();
+  ASSERT_TRUE(t->insert({Value{ValueArray{}}}).ok());
+  Bytes good = db.serialize();
+  ASSERT_TRUE(Database::deserialize(good).ok());
+  ByteWriter empty_cell;
+  empty_cell.value(Value{ValueArray{}});
+  const std::size_t tail = 8 + 1 + empty_cell.size();
+  const std::uint8_t kind = good[good.size() - empty_cell.size() - 1];
+
+  // 10^6 levels used to recurse until the stack overflowed.
+  const Bytes bomb = nested_arrays(1'000'000);
+  ByteWriter image;
+  image.raw(good.data(), good.size() - tail);
+  image.u64(1 + bomb.size());
+  image.u8(kind);
+  image.raw(bomb.data(), bomb.size());
+  Result<Database> back = Database::deserialize(image.take());
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), ErrorCode::kIo) << back.error().to_string();
+
+  ByteReader reader(bomb);
+  Result<Value> value = reader.value();
+  ASSERT_FALSE(value.ok());
+  EXPECT_EQ(value.error().code(), ErrorCode::kIo);
+
+  // Up to the bound, nesting still decodes.
+  const Bytes deepest = nested_arrays(ByteReader::kMaxValueDepth);
+  ByteReader ok_reader(deepest);
+  EXPECT_TRUE(ok_reader.value().ok());
+  EXPECT_TRUE(ok_reader.exhausted());
+  const Bytes too_deep = nested_arrays(ByteReader::kMaxValueDepth + 1);
+  ByteReader deep_reader(too_deep);
+  EXPECT_FALSE(deep_reader.value().ok());
+}
+
 // ---- ExperimentPackage (Table I) ----------------------------------------------------
 
 TEST(Package, SchemaMatchesTableI) {
