@@ -81,38 +81,56 @@ inline double cpu_seconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Times run(m) for the three modes m = 0, 1, 2 back to back in every
-/// repetition, rotating which mode goes first so that none always inherits
-/// the cache and frequency state of a fixed predecessor (with a repetition
-/// count divisible by 3 every mode takes every position equally often).
-/// times[m][rep] pairs with times[0][rep] for paired_overhead_percent.
-template <typename Run>
-std::array<std::vector<double>, 3> interleaved_times(int reps, Run&& run) {
-  static constexpr std::size_t kRotations[3][3] = {
-      {0, 1, 2}, {1, 2, 0}, {2, 0, 1}};
-  std::array<std::vector<double>, 3> times;
+/// Times run(m) for the N modes m = 0 .. N-1 back to back in every
+/// repetition, rotating which mode goes first (repetition r starts at mode
+/// r % N) so that none always inherits the cache and frequency state of a
+/// fixed predecessor (with a repetition count divisible by N every mode
+/// takes every position equally often).  times[m][rep] pairs with
+/// times[0][rep] for paired_overhead_percent / paired_speedup.
+template <std::size_t N, typename Run>
+std::array<std::vector<double>, N> interleaved_times(int reps, Run&& run) {
+  std::array<std::vector<double>, N> times;
   for (int rep = 0; rep < reps; ++rep) {
-    double rep_times[3];
-    for (std::size_t m : kRotations[rep % 3]) rep_times[m] = run(m);
-    for (std::size_t m = 0; m < 3; ++m) times[m].push_back(rep_times[m]);
+    std::array<double, N> rep_times{};
+    for (std::size_t k = 0; k < N; ++k) {
+      const std::size_t m = (static_cast<std::size_t>(rep) + k) % N;
+      rep_times[m] = run(m);
+    }
+    for (std::size_t m = 0; m < N; ++m) times[m].push_back(rep_times[m]);
   }
   return times;
 }
 
-/// The overhead gates' statistic: the median over repetitions of
-/// (mode - base) / base in percent, where base[i] and mode[i] ran back to
-/// back in repetition i.  Pairing cancels the drift between repetitions
-/// that a ratio of per-mode medians (taken in different repetitions) keeps.
+/// Median over repetitions of fn(base[i], mode[i]), where base[i] and
+/// mode[i] ran back to back in repetition i.  Pairing cancels the drift
+/// between repetitions that a ratio of per-mode medians (taken in different
+/// repetitions) keeps.
+template <typename Fn>
+double paired_median(const std::vector<double>& base,
+                     const std::vector<double>& mode, Fn&& fn) {
+  std::vector<double> values;
+  for (std::size_t i = 0; i < base.size() && i < mode.size(); ++i) {
+    values.push_back(fn(base[i], mode[i]));
+  }
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+}
+
+/// The overhead gates' statistic: the paired median of (mode - base) / base
+/// in percent.
 inline double paired_overhead_percent(const std::vector<double>& base,
                                       const std::vector<double>& mode) {
-  std::vector<double> percents;
-  for (std::size_t i = 0; i < base.size() && i < mode.size(); ++i) {
-    percents.push_back((mode[i] - base[i]) / base[i] * 100.0);
-  }
-  std::sort(percents.begin(), percents.end());
-  const std::size_t n = percents.size();
-  return n % 2 == 1 ? percents[n / 2]
-                    : (percents[n / 2 - 1] + percents[n / 2]) / 2.0;
+  return paired_median(base, mode, [](double b, double m) {
+    return (m - b) / b * 100.0;
+  });
+}
+
+/// The speed-up gates' statistic: the paired median of base / mode.
+inline double paired_speedup(const std::vector<double>& base,
+                             const std::vector<double>& mode) {
+  return paired_median(base, mode, [](double b, double m) { return b / m; });
 }
 
 /// Local date as YYYY-MM-DD, the `date` field of the curated BENCH_*.json.

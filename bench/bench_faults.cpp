@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
   std::vector<Line> lines;
 
   for (const Workload& workload : workloads) {
-    const auto times = interleaved_times(
+    const auto times = interleaved_times<3>(
         reps, [&](std::size_t m) { return workload.run(kModes[m]); });
     Line line;
     line.workload = workload.name;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "storage/conditioning.hpp"
 #include "storage/database.hpp"
 #include "storage/level2.hpp"
@@ -38,10 +39,12 @@ TableSchema events_schema() {
 }
 
 Row event_row(std::int64_t i) {
-  return {Value{i % kRuns + 1}, Value{"N" + std::to_string(i % 8)},
+  const auto id = [](const char* prefix, std::int64_t n) {
+    return Value{strings::format("%s%lld", prefix, static_cast<long long>(n))};
+  };
+  return {Value{i % kRuns + 1}, id("N", i % 8),
           Value{static_cast<double>((i * 37) % 10'000) * 1e-3},
-          Value{"ev" + std::to_string(i % 12)},
-          i % 5 ? Value{"p" + std::to_string(i % 50)} : Value{}};
+          id("ev", i % 12), i % 5 ? id("p", i % 50) : Value{}};
 }
 
 // ---- seed replica: row-oriented table with linear scans --------------------

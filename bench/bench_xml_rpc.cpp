@@ -14,6 +14,9 @@
 //  * canonical digest: DOM -> canonical bytes -> SHA-256, gated >= 3x
 //    digests/s (the streaming path never materialises the canonical
 //    string); both implementations must produce the same digest;
+//  * both gates pair seed and current inside every repetition (alternating
+//    which goes first, process CPU time) and compare the median of the
+//    per-repetition speedups, so host drift between repetitions cancels;
 //  * heap allocations per parse and per digest for both implementations;
 //  * XML-RPC round trip (encode + decode of a struct-carrying call through
 //    the streaming codec, which builds no DOM) — time, allocations and the
@@ -23,7 +26,7 @@
 //
 // Flags:
 //   --smoke     small document + iteration counts, WARN-only gates — CI
-//   --reps N    repetitions (default 5, median taken)
+//   --reps N    repetitions (default 6, median taken)
 //   --out PATH  override the JSON output path (default BENCH_xml.json)
 #include <algorithm>
 #include <atomic>
@@ -547,7 +550,10 @@ namespace {
 
 using excovery::Result;
 using excovery::Sha256;
+using excovery::bench::cpu_seconds;
+using excovery::bench::interleaved_times;
 using excovery::bench::median;
+using excovery::bench::paired_speedup;
 using excovery::bench::today;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -570,10 +576,29 @@ std::vector<double> samples_per_call(int reps, int iters, Fn&& fn) {
   return times;
 }
 
-/// Median seconds per call of fn() over `reps` repetitions.
+/// Process CPU seconds per call of fn() over `iters` calls.
 template <typename Fn>
-double time_per_call(int reps, int iters, Fn&& fn) {
-  return median(samples_per_call(reps, iters, fn));
+double cpu_per_call(int iters, Fn&& fn) {
+  const double start = cpu_seconds();
+  for (int i = 0; i < iters; ++i) fn();
+  return (cpu_seconds() - start) / iters;
+}
+
+/// One A/B race: CPU seconds per call of seed() (mode 0) and current()
+/// (mode 1), timed back to back in each repetition.
+struct Race {
+  double seed_s = 0.0;     ///< median over repetitions
+  double current_s = 0.0;  ///< median over repetitions
+  double speedup = 0.0;    ///< median of per-repetition seed/current
+};
+
+template <typename Seed, typename Current>
+Race race(int reps, int iters, Seed&& seed, Current&& current) {
+  const auto times = interleaved_times<2>(reps, [&](std::size_t m) {
+    return m == 0 ? cpu_per_call(iters, seed) : cpu_per_call(iters, current);
+  });
+  return {median(times[0]), median(times[1]),
+          paired_speedup(times[0], times[1])};
 }
 
 /// Heap allocations for a single fn() call.
@@ -613,7 +638,7 @@ std::string materialised_digest(const seedimpl::Element& root) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  int reps = 5;
+  int reps = 6;
   std::string out = "BENCH_xml.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -651,17 +676,21 @@ int main(int argc, char** argv) {
   Result<excovery::xml::Document> new_tree = excovery::xml::parse(xml_text);
   if (!seed_tree.ok() || !new_tree.ok()) std::abort();
 
-  const double parse_seed_s = time_per_call(reps, iters, [&] {
-    if (!seedimpl::parse_element(xml_text).ok()) std::abort();
-  });
-  const double parse_new_s = time_per_call(reps, iters, [&] {
-    if (!excovery::xml::parse(xml_text).ok()) std::abort();
-  });
+  const Race parse = race(
+      reps, iters,
+      [&] {
+        if (!seedimpl::parse_element(xml_text).ok()) std::abort();
+      },
+      [&] {
+        if (!excovery::xml::parse(xml_text).ok()) std::abort();
+      });
+  const double parse_seed_s = parse.seed_s;
+  const double parse_new_s = parse.current_s;
   const std::uint64_t parse_seed_allocs = allocs_per_call(
       [&] { (void)seedimpl::parse_element(xml_text); });
   const std::uint64_t parse_new_allocs = allocs_per_call(
       [&] { (void)excovery::xml::parse(xml_text); });
-  const double parse_speedup = parse_seed_s / parse_new_s;
+  const double parse_speedup = parse.speedup;
 
   // ---- canonical digest ----------------------------------------------------
   const std::string digest_seed = materialised_digest(*seed_tree.value());
@@ -674,17 +703,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double digest_seed_s = time_per_call(reps, iters, [&] {
-    (void)materialised_digest(*seed_tree.value());
-  });
-  const double digest_new_s = time_per_call(reps, iters, [&] {
-    (void)streamed_digest(new_tree.value().root());
-  });
+  const Race digest = race(
+      reps, iters, [&] { (void)materialised_digest(*seed_tree.value()); },
+      [&] { (void)streamed_digest(new_tree.value().root()); });
+  const double digest_seed_s = digest.seed_s;
+  const double digest_new_s = digest.current_s;
   const std::uint64_t digest_seed_allocs = allocs_per_call(
       [&] { (void)materialised_digest(*seed_tree.value()); });
   const std::uint64_t digest_new_allocs = allocs_per_call(
       [&] { (void)streamed_digest(new_tree.value().root()); });
-  const double digest_speedup = digest_seed_s / digest_new_s;
+  const double digest_speedup = digest.speedup;
 
   // ---- XML-RPC round trip (informational) ----------------------------------
   excovery::ValueMap args;
@@ -749,9 +777,12 @@ int main(int argc, char** argv) {
       "pre-arena engine (unique_ptr DOM, per-character cursor parser, "
       "materialised canonical string) embedded in the bench; 'current' = "
       "the live arena DOM / in-situ parser / streaming canonical digest, "
-      "racing on the same generated experiment description. Both parse and "
-      "digest are gated >= 3x outside --smoke, and the two canonical "
-      "digests must be byte-identical. rpc_round_trip encodes and decodes "
+      "racing on the same generated experiment description, timed in "
+      "process CPU back to back in every repetition (alternating which "
+      "goes first). speedup is the median of the per-repetition "
+      "seed/current ratios; both parse and digest are gated >= 3x on it "
+      "outside --smoke, and the two canonical digests must be "
+      "byte-identical. rpc_round_trip encodes and decodes "
       "a 16-struct call through the streaming XML-RPC codec (no DOM, "
       "\u00a715); its cpu_time_ns_min/max are the fastest and slowest "
       "repetition. allocations are heap allocations for a single call. "

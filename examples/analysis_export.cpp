@@ -1,14 +1,14 @@
-// Analysis & export: run two small experiments, archive both in a level-4
-// repository, compare them with cross-experiment queries, and export one
-// run's conditioned measurements as CSV (the "reusable data access
-// functions" the unified storage of §IV-F enables).
+// Analysis & export: run two small experiments as one service batch, name
+// both in a level-4 repository, compare them with cross-experiment queries,
+// and export one run's conditioned measurements as CSV (the "reusable data
+// access functions" the unified storage of §IV-F enables).
 //
 //   $ ./analysis_export [output-dir]
 #include <cstdio>
 
 #include "common/strings.hpp"
-#include "core/master.hpp"
 #include "core/scenario.hpp"
+#include "core/service.hpp"
 #include "stats/analysis.hpp"
 #include "storage/repository.hpp"
 #include "storage/warehouse.hpp"
@@ -17,7 +17,7 @@ using namespace excovery;
 
 namespace {
 
-Result<storage::ExperimentPackage> run_protocol(const std::string& protocol) {
+Result<core::Submission> protocol_submission(const std::string& protocol) {
   core::scenario::TwoPartyOptions options;
   options.protocol = protocol;
   if (protocol == "slp") {
@@ -25,18 +25,11 @@ Result<storage::ExperimentPackage> run_protocol(const std::string& protocol) {
     options.architecture = "three-party";
   }
   options.replications = 5;
-  EXC_ASSIGN_OR_RETURN(core::ExperimentDescription description,
+  core::Submission submission;
+  EXC_ASSIGN_OR_RETURN(submission.description,
                        core::scenario::two_party_sd(options));
-  EXC_ASSIGN_OR_RETURN(net::Topology topology,
-                       core::scenario::topology_for(description, {}));
-  core::SimPlatformConfig config;
-  config.topology = std::move(topology);
-  config.seed = 11;
-  EXC_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::SimPlatform> platform,
-      core::SimPlatform::create(description, std::move(config)));
-  core::ExperiMaster master(description, *platform);
-  return master.execute();
+  submission.scope.platform_seed = 11;
+  return submission;
 }
 
 std::string csv_escape(const std::string& field) {
@@ -61,22 +54,45 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  for (const char* protocol : {"mdns", "slp"}) {
-    std::string id = std::string("export-demo-") + protocol;
-    if (repo.value().contains(id)) continue;  // already archived
-    Result<storage::ExperimentPackage> package = run_protocol(protocol);
-    if (!package.ok()) {
-      std::fprintf(stderr, "%s: %s\n", protocol,
-                   package.error().to_string().c_str());
+  // Both experiments go to the service as one batch; results already in
+  // the repository are disk hits.  Naming happens on this thread once the
+  // batch is done (the repository is not thread-safe).
+  const std::vector<std::string> protocols = {"mdns", "slp"};
+  std::vector<core::Submission> submissions;
+  for (const std::string& protocol : protocols) {
+    Result<core::Submission> submission = protocol_submission(protocol);
+    if (!submission.ok()) {
+      std::fprintf(stderr, "%s: %s\n", protocol.c_str(),
+                   submission.error().to_string().c_str());
       return 1;
     }
-    if (Status stored = repo.value().store(id, package.value());
+    submissions.push_back(std::move(submission).value());
+  }
+  core::ExperimentService::Config config;
+  config.workers = 2;
+  config.repository = &repo.value();
+  const std::vector<core::ServiceReply> replies =
+      core::ExperimentService(std::move(config))
+          .submit_all(std::move(submissions));
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    if (!replies[i].status.ok()) {
+      std::fprintf(stderr, "%s: %s\n", protocols[i].c_str(),
+                   replies[i].status.error().to_string().c_str());
+      return 1;
+    }
+    const std::string id = "export-demo-" + protocols[i];
+    if (Status stored = repo.value().alias(id, replies[i].digest);
         !stored.ok()) {
       std::fprintf(stderr, "store %s: %s\n", id.c_str(),
                    stored.error().to_string().c_str());
       return 1;
     }
   }
+  const auto fetch = [&](const std::string& id)
+      -> Result<storage::ExperimentPackage> {
+    EXC_ASSIGN_OR_RETURN(std::string digest, repo.value().resolve(id));
+    return repo.value().fetch(digest);
+  };
 
   // Level-4 comparison across everything in the repository.
   std::printf("=== repository %s ===\n", dir.c_str());
@@ -94,8 +110,8 @@ int main(int argc, char** argv) {
 
   // Cross-experiment query: mean first-discovery latency per experiment.
   std::printf("\nmean first-discovery latency by experiment:\n");
-  for (const std::string& id : repo.value().experiment_ids()) {
-    Result<storage::ExperimentPackage> package = repo.value().fetch(id);
+  for (const std::string& id : repo.value().names()) {
+    Result<storage::ExperimentPackage> package = fetch(id);
     if (!package.ok()) continue;
     Result<std::vector<double>> latencies =
         stats::first_latencies(package.value());
@@ -107,8 +123,8 @@ int main(int argc, char** argv) {
   // Dimensional warehouse roll-up across the whole repository (§IV-F's
   // anticipated data-warehouse structure).
   storage::Warehouse warehouse;
-  for (const std::string& id : repo.value().experiment_ids()) {
-    Result<storage::ExperimentPackage> package = repo.value().fetch(id);
+  for (const std::string& id : repo.value().names()) {
+    Result<storage::ExperimentPackage> package = fetch(id);
     if (package.ok()) (void)warehouse.add(id, package.value());
   }
   std::printf("\n=== warehouse: sd_service_add facts per experiment ===\n");
@@ -118,7 +134,7 @@ int main(int argc, char** argv) {
       std::printf("  %s\n", line.c_str());
     }
   }
-  for (const std::string& id : repo.value().experiment_ids()) {
+  for (const std::string& id : repo.value().names()) {
     Result<double> t_r =
         warehouse.mean_interval(id, "sd_start_search", "sd_service_add");
     if (t_r.ok()) {
@@ -128,8 +144,7 @@ int main(int argc, char** argv) {
   }
 
   // CSV export of one experiment's conditioned event list.
-  Result<storage::ExperimentPackage> package =
-      repo.value().fetch("export-demo-mdns");
+  Result<storage::ExperimentPackage> package = fetch("export-demo-mdns");
   if (package.ok()) {
     std::printf("\n=== export-demo-mdns events.csv (first 25 rows) ===\n");
     std::printf("run_id,node_id,common_time,event_type,parameter\n");

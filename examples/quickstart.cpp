@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.simulations));
     if (repository) {
       std::printf("repository %s: %zu content-addressed package(s)\n",
-                  repo_dir.c_str(), repository->cas_size());
+                  repo_dir.c_str(), repository->size());
     }
     std::printf("\n");
     cached_package = std::move(second.package);

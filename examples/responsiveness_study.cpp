@@ -7,13 +7,16 @@
 // Sweeps a message-loss factor across {0, 0.1, ..., 0.5} on the SU's node
 // (a §IV-D manipulation process driven by a factor reference) and reports
 // responsiveness for several deadlines, with Wilson 95% bounds, plus the
-// discovery-latency distribution.  Results are archived into a level-4
-// repository under ./excovery-results.
+// discovery-latency distribution.  The experiment runs through the
+// ExperimentService, whose results are stored content-addressed in a
+// level-4 repository under ./excovery-results and named there; a re-run
+// with the same inputs is served from disk.
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/master.hpp"
+#include "core/plan.hpp"
 #include "core/scenario.hpp"
+#include "core/service.hpp"
 #include "stats/analysis.hpp"
 #include "storage/repository.hpp"
 
@@ -37,32 +40,37 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", description.error().to_string().c_str());
     return 1;
   }
-  Result<net::Topology> topology =
-      core::scenario::topology_for(description.value(), {});
-  core::SimPlatformConfig config;
-  config.topology = std::move(topology).value();
-  config.seed = 7;
-  Result<std::unique_ptr<core::SimPlatform>> platform =
-      core::SimPlatform::create(description.value(), std::move(config));
-  if (!platform.ok()) {
-    std::fprintf(stderr, "%s\n", platform.error().to_string().c_str());
+  Result<core::TreatmentPlan> plan =
+      core::TreatmentPlan::generate(description.value());
+  if (!plan.ok()) {
+    std::fprintf(stderr, "%s\n", plan.error().to_string().c_str());
     return 1;
   }
+  // An unopenable repository only loses the archive, not the study.
+  Result<storage::Repository> repo =
+      storage::Repository::open("excovery-results");
+  core::ExperimentService::Config config;
+  config.workers = 1;
+  config.repository = repo.ok() ? &repo.value() : nullptr;
+  core::ExperimentService service(std::move(config));
+  core::Submission submission;
+  submission.description = description.value();
+  submission.scope.platform_seed = 7;
 
-  core::ExperiMaster master(description.value(), *platform.value());
   std::printf("executing %zu runs (%zu treatments x %d replications)...\n",
-              master.plan().run_count(), master.plan().treatment_count(),
+              plan.value().run_count(), plan.value().treatment_count(),
               replications);
-  Result<storage::ExperimentPackage> package = master.execute();
-  if (!package.ok()) {
-    std::fprintf(stderr, "%s\n", package.error().to_string().c_str());
+  const core::ServiceReply reply = service.submit(submission);
+  if (!reply.status.ok()) {
+    std::fprintf(stderr, "%s\n", reply.status.error().to_string().c_str());
     return 1;
   }
+  const storage::ExperimentPackage& package = *reply.package;
 
   // Group run outcomes by the loss level of their treatment (OFAT order:
   // loss levels in sequence, `replications` runs each).
   Result<std::vector<stats::RunDiscovery>> discoveries =
-      stats::discoveries(package.value());
+      stats::discoveries(package);
   if (!discoveries.ok()) {
     std::fprintf(stderr, "%s\n", discoveries.error().to_string().c_str());
     return 1;
@@ -98,7 +106,7 @@ int main(int argc, char** argv) {
   }
 
   Result<std::vector<double>> latencies =
-      stats::discovery_latencies(package.value());
+      stats::discovery_latencies(package);
   if (latencies.ok() && !latencies.value().empty()) {
     std::printf("\ndiscovery latency distribution (all %zu discoveries):\n",
                 latencies.value().size());
@@ -112,13 +120,12 @@ int main(int argc, char** argv) {
     std::printf("%s", histogram.format(30).c_str());
   }
 
-  // Archive into the level-4 repository for later comparison.
-  Result<storage::Repository> repo =
-      storage::Repository::open("excovery-results");
+  // Name the stored result in the level-4 repository for later comparison.
   if (repo.ok()) {
-    std::string id = "responsiveness-loss-sweep";
-    if (!repo.value().contains(id)) {
-      Status stored = repo.value().store(id, package.value());
+    const std::string id = "responsiveness-loss-sweep";
+    Result<std::string> named = repo.value().resolve(id);
+    if (!named.ok() || named.value() != reply.digest) {
+      Status stored = repo.value().alias(id, reply.digest);
       std::printf("\narchived as '%s' in ./excovery-results: %s\n",
                   id.c_str(), stored.ok() ? "ok" : "failed");
     }

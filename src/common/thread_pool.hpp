@@ -57,7 +57,7 @@ class ThreadPool {
   /// Enqueue a fire-and-forget task (no future).  Used for cooperative
   /// nesting: a pool task that needs helpers posts them and participates in
   /// the work itself, waiting only on a completion count — never on the
-  /// helpers being scheduled — so sharing one pool between campaign- and
+  /// helpers being scheduled — so sharing one pool between experiment- and
   /// run-level parallelism cannot deadlock.
   void post(std::function<void()> task);
 

@@ -324,7 +324,7 @@ Status ExperiMaster::run_all_sharded(const std::vector<const RunSpec*>& todo,
   };
 
   // The calling thread always participates; extra workers either ride the
-  // shared pool (campaign nesting) or short-lived dedicated threads.  With
+  // shared pool (service nesting) or short-lived dedicated threads.  With
   // a saturated shared pool the helpers may never start — the caller then
   // simply executes every run itself.
   std::vector<std::thread> threads;

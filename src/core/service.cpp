@@ -82,7 +82,7 @@ void ExperimentService::cache_put(
   }
 }
 
-std::pair<std::shared_future<ServiceReply>, bool> ExperimentService::enqueue(
+ExperimentService::Enqueued ExperimentService::enqueue(
     const Submission& submission) {
   std::string digest = submission.digest();
   std::lock_guard lock(mutex_);
@@ -107,11 +107,11 @@ std::pair<std::shared_future<ServiceReply>, bool> ExperimentService::enqueue(
   }
 
   if (config_.repository != nullptr) {
-    // One CAS index lookup: fetch directly and branch on the error code
+    // One CAS lookup: fetch directly and branch on the error code
     // (kNotFound is the ordinary cold-cache case, anything else is a
-    // damaged entry) instead of probing contains_hash() first.
+    // damaged entry) instead of probing contains() first.
     Result<storage::ExperimentPackage> loaded =
-        config_.repository->fetch_by_hash(digest);
+        config_.repository->fetch(digest);
     if (loaded.ok()) {
       auto package = std::make_shared<storage::ExperimentPackage>(
           std::move(loaded).value());
@@ -177,6 +177,10 @@ Result<storage::ExperimentPackage> ExperimentService::simulate(
   options.run_watchdog = submission.scope.run_watchdog;
   options.settle = submission.scope.settle;
   options.run_workers = submission.run_workers;
+  // Nesting rule (DESIGN.md §10): run workers ride the service pool, so
+  // total threads stay bounded by Config::workers however many submissions
+  // request run parallelism.
+  options.run_pool = &pool_;
   ExperiMaster master(submission.description, *platform, std::move(options));
   return master.execute();
 }
@@ -196,7 +200,7 @@ void ExperimentService::run_flight(const std::string& digest,
           std::make_shared<storage::ExperimentPackage>(
               std::move(result).value());
       if (config_.repository != nullptr) {
-        Status stored = config_.repository->store_by_hash(digest, *package);
+        Status stored = config_.repository->store(digest, *package);
         if (!stored.ok()) {
           // A full or read-only disk must not fail the submission: the
           // fresh package is still correct, only future disk hits are lost.
@@ -223,13 +227,40 @@ void ExperimentService::run_flight(const std::string& digest,
   flight->promise.set_value(std::move(reply));
 }
 
-ServiceReply ExperimentService::submit(const Submission& submission) {
-  auto [future, attached] = enqueue(submission);
-  ServiceReply reply = future.get();
-  if (attached && reply.outcome == SubmitOutcome::kSimulated) {
+ServiceReply ExperimentService::await(const Enqueued& enqueued) {
+  ServiceReply reply = enqueued.first.get();
+  if (enqueued.second && reply.outcome == SubmitOutcome::kSimulated) {
     reply.outcome = SubmitOutcome::kCoalesced;
   }
   return reply;
+}
+
+bool ExperimentService::queue_full() const {
+  std::lock_guard lock(mutex_);
+  return pending_ >= config_.max_queue_depth;
+}
+
+ServiceReply ExperimentService::submit(const Submission& submission) {
+  return await(enqueue(submission));
+}
+
+std::vector<ServiceReply> ExperimentService::submit_all(
+    std::vector<Submission> submissions) {
+  std::vector<Enqueued> enqueued;
+  enqueued.reserve(submissions.size());
+  std::size_t oldest = 0;  // earliest reply of this batch not yet awaited
+  for (const Submission& submission : submissions) {
+    // A flight finishes (and frees its queue slot) before its reply is
+    // published, so once an awaited reply is ready the slot is free.
+    while (oldest < enqueued.size() && queue_full()) {
+      enqueued[oldest++].first.wait();
+    }
+    enqueued.push_back(enqueue(submission));
+  }
+  std::vector<ServiceReply> replies;
+  replies.reserve(enqueued.size());
+  for (const auto& pending : enqueued) replies.push_back(await(pending));
+  return replies;
 }
 
 std::shared_future<ServiceReply> ExperimentService::submit_async(

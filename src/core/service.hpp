@@ -1,6 +1,6 @@
-// Experiment-as-a-service: a long-running in-process front door that
-// accepts concurrent campaign submissions and serves memoized results
-// (DESIGN.md §14).
+// Experiment-as-a-service: the one in-process front door through which
+// experiments are run — single submissions from many threads and whole
+// campaigns as batches — serving memoized results (DESIGN.md §14).
 //
 // Because a conditioned package is a pure function of its campaign digest
 // (core::campaign_digest), the service never simulates the same campaign
@@ -8,8 +8,8 @@
 //
 //  * an LRU-bounded in-memory package cache answers repeats in
 //    microseconds;
-//  * an optional content-addressed disk repository (storage::Repository
-//    CAS space) answers repeats across service instances and restarts;
+//  * an optional content-addressed disk repository (storage::Repository)
+//    answers repeats across service instances and restarts;
 //  * single-flight deduplication coalesces concurrent identical
 //    submissions — N clients submitting the same campaign trigger exactly
 //    one simulation, the other N-1 wait on its result;
@@ -17,6 +17,10 @@
 //    admission control: once `max_queue_depth` simulations are admitted
 //    and unfinished, further misses are rejected cleanly (kState status)
 //    instead of queueing without bound.
+//
+// Runs *within* an experiment (Submission::run_workers) ride the same pool
+// as the simulations themselves, so the two levels of parallelism share
+// one set of threads instead of multiplying (DESIGN.md §10).
 //
 // Cache hits are answer-invisible: a served package is byte-identical to
 // what a fresh simulation would produce, because the digest covers every
@@ -40,6 +44,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/canonical.hpp"
@@ -133,6 +138,15 @@ class ExperimentService {
   /// Submit and wait for the result.  Safe to call from many threads.
   ServiceReply submit(const Submission& submission);
 
+  /// Submit a batch (a campaign) and wait for every result; replies come
+  /// back in input order.  Each submission is answered exactly as by
+  /// submit(), so a duplicate inside the batch simulates once and is
+  /// reported kCoalesced (or a cache hit, if the first copy finished
+  /// already).  A batch larger than the free queue depth waits on its own
+  /// earliest pending reply before enqueueing more, so without other
+  /// clients no submission of the batch is rejected.
+  std::vector<ServiceReply> submit_all(std::vector<Submission> submissions);
+
   /// Submit without waiting.  Rejections and cache hits resolve the
   /// future immediately; misses resolve when the simulation finishes.
   /// Note: unlike submit(), a coalesced waiter's future carries the
@@ -150,14 +164,18 @@ class ExperimentService {
   using CacheEntry =
       std::pair<std::string, std::shared_ptr<const storage::ExperimentPackage>>;
 
-  /// Returns the future plus whether this call attached to an existing
-  /// flight (needed by submit() to report kCoalesced to waiters).
-  std::pair<std::shared_future<ServiceReply>, bool> enqueue(
-      const Submission& submission);
+  /// The reply's future plus whether the submission attached to an
+  /// existing flight (needed to report kCoalesced to waiters).
+  using Enqueued = std::pair<std::shared_future<ServiceReply>, bool>;
+
+  Enqueued enqueue(const Submission& submission);
+  /// Waits on an enqueued reply; a waiter that attached to another
+  /// submission's flight reports kCoalesced instead of kSimulated.
+  static ServiceReply await(const Enqueued& enqueued);
+  bool queue_full() const;
   void run_flight(const std::string& digest, Submission submission,
                   const std::shared_ptr<Flight>& flight);
-  static Result<storage::ExperimentPackage> simulate(
-      const Submission& submission);
+  Result<storage::ExperimentPackage> simulate(const Submission& submission);
 
   // LRU cache; callers hold mutex_.
   std::shared_ptr<const storage::ExperimentPackage> cache_get(

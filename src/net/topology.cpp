@@ -14,6 +14,13 @@ std::uint64_t pack_endpoints(NodeId a, NodeId b) noexcept {
                : (static_cast<std::uint64_t>(b) << 32) | a;
 }
 
+/// "n<i>", the generated-topology node name.
+std::string node_name(std::size_t i) {
+  std::string name = "n";
+  name += std::to_string(i);
+  return name;
+}
+
 }  // namespace
 
 NodeId Topology::add_node(std::string name, std::optional<Address> address) {
@@ -130,7 +137,7 @@ bool Topology::connected() const {
 Topology Topology::chain(std::size_t length, const LinkModel& model) {
   Topology topo;
   for (std::size_t i = 0; i < length; ++i) {
-    topo.add_node("n" + std::to_string(i), static_cast<double>(i), 0.0);
+    topo.add_node(node_name(i), static_cast<double>(i), 0.0);
   }
   for (std::size_t i = 0; i + 1 < length; ++i) {
     (void)topo.connect(static_cast<NodeId>(i), static_cast<NodeId>(i + 1),
@@ -144,8 +151,8 @@ Topology Topology::grid(std::size_t width, std::size_t height,
   Topology topo;
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
-      topo.add_node("n" + std::to_string(y * width + x),
-                    static_cast<double>(x), static_cast<double>(y));
+      topo.add_node(node_name(y * width + x), static_cast<double>(x),
+                    static_cast<double>(y));
     }
   }
   auto id = [width](std::size_t x, std::size_t y) {
@@ -163,7 +170,7 @@ Topology Topology::grid(std::size_t width, std::size_t height,
 Topology Topology::full_mesh(std::size_t size, const LinkModel& model) {
   Topology topo;
   for (std::size_t i = 0; i < size; ++i) {
-    topo.add_node("n" + std::to_string(i));
+    topo.add_node(node_name(i));
   }
   for (std::size_t i = 0; i < size; ++i) {
     for (std::size_t j = i + 1; j < size; ++j) {
@@ -194,7 +201,7 @@ Result<Topology> Topology::random_geometric(std::size_t size, double radius,
                                static_cast<std::uint64_t>(attempt));
     Topology topo;
     for (std::size_t i = 0; i < size; ++i) {
-      topo.add_node("n" + std::to_string(i), rng.uniform01(), rng.uniform01());
+      topo.add_node(node_name(i), rng.uniform01(), rng.uniform01());
     }
     // Bucket node ids by cell, in id order.
     auto cell_of = [cells_per_axis](double value) {

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 namespace excovery::storage {
 
@@ -10,9 +9,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-bool plain_name(const std::string& name) {
-  return !name.empty() && name.find('/') == std::string::npos &&
-         name.find('\\') == std::string::npos;
+/// Names live in a tab-separated, line-oriented file.
+bool valid_name(const std::string& name) {
+  return !name.empty() && name.find_first_of("\t\r\n") == std::string::npos;
 }
 
 bool hex_digest(const std::string& digest) {
@@ -54,24 +53,6 @@ Status atomic_save_package(const ExperimentPackage& package,
                         bytes.size()));
 }
 
-/// Read a tab-separated two-column index file, invoking `entry` per
-/// well-formed line.  Corrupt lines (no tab, empty columns, embedded
-/// separators) are skipped: an index damaged by a crash degrades to the
-/// directory scan instead of failing open().
-template <typename Fn>
-void load_index_lines(const fs::path& path, Fn&& entry) {
-  std::ifstream in(path);
-  if (!in) return;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t tab = line.find('\t');
-    if (tab == std::string::npos || tab == 0 || tab + 1 >= line.size()) {
-      continue;
-    }
-    entry(line.substr(0, tab), line.substr(tab + 1));
-  }
-}
-
 }  // namespace
 
 Result<Repository> Repository::open(const std::string& directory) {
@@ -83,122 +64,56 @@ Result<Repository> Repository::open(const std::string& directory) {
   }
   Repository repo(directory);
 
-  // Index files first (tolerating corrupt lines), keeping only entries
-  // whose package file actually exists.
-  load_index_lines(fs::path(directory) / "index.txt",
-                   [&](std::string id, std::string file) {
-                     if (!plain_name(id) || !plain_name(file)) return;
-                     if (!fs::exists(fs::path(directory) / file)) return;
-                     repo.index_.insert_or_assign(std::move(id),
-                                                  std::move(file));
-                   });
-  load_index_lines(
-      fs::path(directory) / "cas-index.txt",
-      [&](std::string digest, std::string relative) {
-        if (!hex_digest(digest)) return;
-        if (relative.find("..") != std::string::npos) return;
-        if (!fs::exists(fs::path(directory) / relative)) return;
-        repo.cas_index_.insert_or_assign(std::move(digest),
-                                         std::move(relative));
-      });
-
-  // Then rebuild from the files actually present (self-healing if either
-  // index file is stale, corrupt or missing).
-  std::vector<fs::path> entries;
-  for (const auto& entry : fs::directory_iterator(directory, ec)) {
-    entries.push_back(entry.path());
-  }
-  std::sort(entries.begin(), entries.end());
-  for (const fs::path& path : entries) {
-    if (path.extension() == ".excovery") {
-      repo.index_.insert_or_assign(path.stem().string(),
-                                   path.filename().string());
-    }
-  }
-  const fs::path cas_root = fs::path(directory) / "cas";
-  if (fs::is_directory(cas_root, ec)) {
-    std::vector<fs::path> cas_files;
-    for (const auto& entry :
-         fs::recursive_directory_iterator(cas_root, ec)) {
-      if (entry.path().extension() == ".excovery") {
-        cas_files.push_back(entry.path());
+  // The package files present are the CAS index:
+  // cas/<2 hex>/<digest>.excovery.
+  for (const auto& shard :
+       fs::directory_iterator(fs::path(directory) / "cas", ec)) {
+    const std::string prefix = shard.path().filename().string();
+    for (const auto& entry : fs::directory_iterator(shard.path(), ec)) {
+      const fs::path& path = entry.path();
+      std::string digest = path.stem().string();
+      if (path.extension() == ".excovery" && hex_digest(digest) &&
+          digest.compare(0, 2, prefix) == 0) {
+        repo.digests_.insert(std::move(digest));
       }
     }
-    std::sort(cas_files.begin(), cas_files.end());
-    for (const fs::path& path : cas_files) {
-      const std::string digest = path.stem().string();
-      if (!hex_digest(digest)) continue;
-      repo.cas_index_.insert_or_assign(
-          digest, fs::relative(path, directory, ec).generic_string());
+  }
+
+  // Names: "<name>\t<digest>" per line.  A line damaged by a crash, or an
+  // alias whose package file is gone, is skipped rather than failing open().
+  std::ifstream names(fs::path(directory) / "names.txt");
+  for (std::string line; std::getline(names, line);) {
+    const std::size_t tab = line.find('\t');
+    if (tab == std::string::npos) continue;
+    std::string name = line.substr(0, tab);
+    std::string digest = line.substr(tab + 1);
+    if (valid_name(name) && repo.contains(digest)) {
+      repo.names_.insert_or_assign(std::move(name), std::move(digest));
     }
   }
   return repo;
-}
-
-std::string Repository::path_for(const std::string& experiment_id) const {
-  return (fs::path(directory_) / (experiment_id + ".excovery")).string();
 }
 
 std::string Repository::cas_relative_path(const std::string& digest) {
   return "cas/" + digest.substr(0, 2) + "/" + digest + ".excovery";
 }
 
-Status Repository::save_index() const {
-  std::ostringstream out;
-  for (const auto& [id, file] : index_) out << id << "\t" << file << "\n";
-  return atomic_write(fs::path(directory_) / "index.txt", out.str());
-}
-
-Status Repository::save_cas_index() const {
-  std::ostringstream out;
-  for (const auto& [digest, relative] : cas_index_) {
-    out << digest << "\t" << relative << "\n";
+Status Repository::save_names() const {
+  std::string out;
+  for (const auto& [name, digest] : names_) {
+    out.append(name).append("\t").append(digest).append("\n");
   }
-  return atomic_write(fs::path(directory_) / "cas-index.txt", out.str());
+  return atomic_write(fs::path(directory_) / "names.txt", out);
 }
 
-Status Repository::store(const std::string& experiment_id,
+Status Repository::store(const std::string& digest,
                          const ExperimentPackage& package) {
-  if (!plain_name(experiment_id)) {
-    return err_invalid("experiment id must be a non-empty plain name");
-  }
-  // The file name is a pure function of the id, so the atomic rename
-  // replaces any previous package for this id in place: no leaked file,
-  // and the index entry below overwrites rather than duplicates.
-  EXC_TRY(atomic_save_package(package, path_for(experiment_id)));
-  index_.insert_or_assign(experiment_id, experiment_id + ".excovery");
-  return save_index();
-}
-
-Result<ExperimentPackage> Repository::fetch(
-    const std::string& experiment_id) const {
-  if (!contains(experiment_id)) {
-    return err_not_found("no experiment '" + experiment_id +
-                         "' in repository");
-  }
-  return ExperimentPackage::load(path_for(experiment_id));
-}
-
-bool Repository::contains(const std::string& experiment_id) const {
-  return index_.find(experiment_id) != index_.end();
-}
-
-std::vector<std::string> Repository::experiment_ids() const {
-  std::vector<std::string> out;
-  out.reserve(index_.size());
-  for (const auto& [id, file] : index_) out.push_back(id);
-  return out;
-}
-
-Status Repository::store_by_hash(const std::string& digest,
-                                 const ExperimentPackage& package) {
   if (!hex_digest(digest)) {
     return err_invalid("content digest must be lower-case hex: '" + digest +
                        "'");
   }
-  if (contains_hash(digest)) return {};  // content-addressed: idempotent
-  const std::string relative = cas_relative_path(digest);
-  const fs::path path = fs::path(directory_) / relative;
+  if (contains(digest)) return {};  // content-addressed: idempotent
+  const fs::path path = fs::path(directory_) / cas_relative_path(digest);
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
   if (ec) {
@@ -206,41 +121,63 @@ Status Repository::store_by_hash(const std::string& digest,
                   path.parent_path().string() + "': " + ec.message());
   }
   EXC_TRY(atomic_save_package(package, path));
-  cas_index_.insert_or_assign(digest, relative);
-  return save_cas_index();
+  digests_.insert(digest);
+  return {};
 }
 
-Result<ExperimentPackage> Repository::fetch_by_hash(
-    const std::string& digest) const {
-  auto it = cas_index_.find(digest);
-  if (it == cas_index_.end()) {
+Result<ExperimentPackage> Repository::fetch(const std::string& digest) const {
+  if (!contains(digest)) {
     return err_not_found("no package with digest '" + digest +
                          "' in repository");
   }
   return ExperimentPackage::load(
-      (fs::path(directory_) / it->second).string());
+      (fs::path(directory_) / cas_relative_path(digest)).string());
 }
 
-bool Repository::contains_hash(const std::string& digest) const {
-  return cas_index_.find(digest) != cas_index_.end();
+bool Repository::contains(const std::string& digest) const {
+  return digests_.count(digest) != 0;
 }
 
-std::vector<std::string> Repository::hashes() const {
+std::vector<std::string> Repository::digests() const {
+  return {digests_.begin(), digests_.end()};
+}
+
+Status Repository::alias(const std::string& name, const std::string& digest) {
+  if (!valid_name(name)) {
+    return err_invalid("name must be non-empty, without tabs or line breaks");
+  }
+  if (!contains(digest)) {
+    return err_not_found("no package with digest '" + digest +
+                         "' in repository");
+  }
+  names_.insert_or_assign(name, digest);
+  return save_names();
+}
+
+Result<std::string> Repository::resolve(const std::string& name) const {
+  auto it = names_.find(name);
+  if (it == names_.end()) {
+    return err_not_found("no experiment '" + name + "' in repository");
+  }
+  return it->second;
+}
+
+std::vector<std::string> Repository::names() const {
   std::vector<std::string> out;
-  out.reserve(cas_index_.size());
-  for (const auto& [digest, relative] : cas_index_) out.push_back(digest);
+  out.reserve(names_.size());
+  for (const auto& [name, digest] : names_) out.push_back(name);
   return out;
 }
 
 Result<std::vector<Repository::CrossEvent>> Repository::events_of_type(
     const std::string& event_type) const {
   std::vector<CrossEvent> out;
-  for (const auto& [id, file] : index_) {
-    EXC_ASSIGN_OR_RETURN(ExperimentPackage package, fetch(id));
+  for (const auto& [name, digest] : names_) {
+    EXC_ASSIGN_OR_RETURN(ExperimentPackage package, fetch(digest));
     EXC_ASSIGN_OR_RETURN(std::vector<EventRow> events, package.all_events());
     for (EventRow& event : events) {
       if (event.event_type == event_type) {
-        out.push_back(CrossEvent{id, std::move(event)});
+        out.push_back(CrossEvent{name, std::move(event)});
       }
     }
   }
@@ -249,10 +186,10 @@ Result<std::vector<Repository::CrossEvent>> Repository::events_of_type(
 
 Result<std::vector<Repository::Summary>> Repository::summaries() const {
   std::vector<Summary> out;
-  for (const auto& [id, file] : index_) {
-    EXC_ASSIGN_OR_RETURN(ExperimentPackage package, fetch(id));
+  for (const auto& [name, digest] : names_) {
+    EXC_ASSIGN_OR_RETURN(ExperimentPackage package, fetch(digest));
     Summary summary;
-    summary.experiment_id = id;
+    summary.experiment_id = name;
     summary.name = package.experiment_name().value_or("");
     summary.runs = package.run_ids().size();
     summary.events = package.event_count();

@@ -4,26 +4,26 @@
 // experiments into a single repository to facilitate comparison and
 // analysis covering multiple experiments.  To date, ExCovery does not
 // realize this level."  It is realised here (the paper marks it as future
-// work): a directory of level-3 packages with an index and cross-experiment
-// query helpers.
+// work): a directory of level-3 packages with cross-experiment query
+// helpers.
 //
-// Two key spaces share one repository directory (DESIGN.md §14):
+// One key space (DESIGN.md §14): packages are content-addressed by the
+// SHA-256 digest of the canonical campaign submission
+// (core::campaign_digest), laid out Nix-style as
+// <dir>/cas/<first-2-hex>/<digest>.excovery.  Equal digest means
+// byte-identical package, so storing an existing digest is a no-op success.
+// The files present are the index: open() scans cas/ and keeps no CAS index
+// file.  Human-chosen names are aliases onto digests, kept in one
+// tab-separated <dir>/names.txt; re-aliasing a name re-points it.
 //
-//  * the legacy id space — human-chosen experiment ids, one file
-//    <dir>/<id>.excovery, replace-on-re-store;
-//  * the content-addressed space — SHA-256 digests of the canonical
-//    campaign submission (core::campaign_digest), laid out Nix-style as
-//    <dir>/cas/<first-2-hex>/<digest>.excovery.  Content addressing makes
-//    stores idempotent: equal digest means byte-identical package, so
-//    re-storing an existing digest is a no-op success.
-//
-// Persistence is crash-safe: package files and both index files are
-// written to a temporary sibling and atomically renamed into place, and
-// index reload skips corrupt lines / dangling entries instead of failing
-// open() (the directory scan self-heals the index anyway).
+// Persistence is crash-safe: package files and names.txt are written to a
+// temporary sibling and atomically renamed into place, and open() skips
+// corrupt names.txt lines and aliases whose package file is missing
+// instead of failing.
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,39 +38,32 @@ class Repository {
 
   const std::string& directory() const noexcept { return directory_; }
 
-  /// Store a package under an experiment id; persists it atomically as
-  /// <dir>/<id>.excovery and updates the index.  Re-storing an existing id
-  /// replaces the previous package in place (no leaked file, no stale
-  /// index entry).
-  Status store(const std::string& experiment_id,
-               const ExperimentPackage& package);
-
-  /// Load one experiment.
-  Result<ExperimentPackage> fetch(const std::string& experiment_id) const;
-
-  bool contains(const std::string& experiment_id) const;
-  /// All experiment ids, sorted.
-  std::vector<std::string> experiment_ids() const;
-  std::size_t size() const noexcept { return index_.size(); }
-
-  // ---- content-addressed store (DESIGN.md §14) ---------------------------
-  /// Store a package under its content digest (64 lower-case hex chars from
-  /// core::campaign_digest).  Idempotent: storing a digest that is already
-  /// present succeeds without rewriting the file.
-  Status store_by_hash(const std::string& digest,
-                       const ExperimentPackage& package);
+  // ---- content-addressed packages ----------------------------------------
+  /// Store a package under its content digest (lower-case hex, as
+  /// core::campaign_digest produces).  Idempotent: storing a digest that is
+  /// already present succeeds without rewriting the file.
+  Status store(const std::string& digest, const ExperimentPackage& package);
   /// Load the package stored under a digest.
-  Result<ExperimentPackage> fetch_by_hash(const std::string& digest) const;
-  bool contains_hash(const std::string& digest) const;
+  Result<ExperimentPackage> fetch(const std::string& digest) const;
+  bool contains(const std::string& digest) const;
   /// All stored digests, sorted.
-  std::vector<std::string> hashes() const;
-  std::size_t cas_size() const noexcept { return cas_index_.size(); }
-  /// Repository-relative CAS file path ("cas/ab/<digest>.excovery") — the
+  std::vector<std::string> digests() const;
+  std::size_t size() const noexcept { return digests_.size(); }
+  /// Repository-relative package path ("cas/ab/<digest>.excovery") — the
   /// on-disk layout contract, exposed for tooling.
   static std::string cas_relative_path(const std::string& digest);
 
-  /// Cross-experiment query: every event of a given type across all stored
-  /// experiments, tagged with the experiment id.
+  // ---- names -------------------------------------------------------------
+  /// Point `name` at a stored digest, replacing any previous target.  A
+  /// name is any non-empty string without tabs or line breaks.
+  Status alias(const std::string& name, const std::string& digest);
+  /// The digest a name points at.
+  Result<std::string> resolve(const std::string& name) const;
+  /// All names, sorted.
+  std::vector<std::string> names() const;
+
+  /// Cross-experiment query: every event of a given type across all named
+  /// experiments, tagged with the name.
   struct CrossEvent {
     std::string experiment_id;
     EventRow event;
@@ -78,8 +71,7 @@ class Repository {
   Result<std::vector<CrossEvent>> events_of_type(
       const std::string& event_type) const;
 
-  /// Per-experiment summary (name, runs, events, packets) for comparison
-  /// tooling.
+  /// Per-name summary (name, runs, events, packets) for comparison tooling.
   struct Summary {
     std::string experiment_id;
     std::string name;
@@ -93,13 +85,11 @@ class Repository {
   explicit Repository(std::string directory)
       : directory_(std::move(directory)) {}
 
-  std::string path_for(const std::string& experiment_id) const;
-  Status save_index() const;
-  Status save_cas_index() const;
+  Status save_names() const;
 
   std::string directory_;
-  std::map<std::string, std::string> index_;      // id -> file name
-  std::map<std::string, std::string> cas_index_;  // digest -> relative path
+  std::set<std::string> digests_;
+  std::map<std::string, std::string> names_;  // name -> digest
 };
 
 }  // namespace excovery::storage

@@ -9,7 +9,9 @@ namespace excovery::xml {
 
 Status Schema::validate(const Element& root, bool strict) const {
   std::vector<std::string> problems;
-  validate_element(root, strict, "/" + std::string(root.name()), problems);
+  std::string path = "/";
+  path += root.name();
+  validate_element(root, strict, path, problems);
   if (problems.empty()) return {};
   return err_validation(strings::join(problems, "; "));
 }
@@ -97,9 +99,13 @@ void Schema::validate_element(const Element& element, bool strict,
   std::map<std::string_view, std::size_t> sibling_index;
   for (const Element& child : element.children()) {
     std::size_t idx = ++sibling_index[child.name()];
-    std::string child_path = path + "/" + std::string(child.name());
+    std::string child_path = path;
+    child_path += '/';
+    child_path += child.name();
     if (counts[child.name()] > 1) {
-      child_path += "[" + std::to_string(idx) + "]";
+      child_path += '[';
+      child_path += std::to_string(idx);
+      child_path += ']';
     }
     validate_element(child, strict, child_path, problems);
   }

@@ -29,12 +29,14 @@ std::vector<Step> parse_path(std::string_view path) {
         std::size_t eq = pred.find('=');
         if (eq != std::string::npos) {
           step.attr_name = pred.substr(1, eq - 1);
-          std::string value = pred.substr(eq + 1);
-          step.attr_value = strings::strip_quotes(
-              value.size() >= 2 && value.front() == '\'' &&
-                      value.back() == '\''
-                  ? "\"" + value.substr(1, value.size() - 2) + "\""
-                  : value);
+          const std::string_view value =
+              std::string_view(pred).substr(eq + 1);
+          const bool single_quoted = value.size() >= 2 &&
+                                     value.front() == '\'' &&
+                                     value.back() == '\'';
+          step.attr_value =
+              single_quoted ? std::string(value.substr(1, value.size() - 2))
+                            : strings::strip_quotes(value);
         }
       } else {
         step.index = std::atoi(pred.c_str());

@@ -497,7 +497,7 @@ TEST(LogTest, CapturingLogConcurrentAppendAndTake) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        log.info("m" + std::to_string(t) + "." + std::to_string(i) + ";");
+        log.info(strings::format("m%d.%d;", t, i));
       }
     });
   }
@@ -509,8 +509,7 @@ TEST(LogTest, CapturingLogConcurrentAppendAndTake) {
   // No line was lost or torn between take() and the appends.
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      std::string needle =
-          "m" + std::to_string(t) + "." + std::to_string(i) + ";";
+      std::string needle = strings::format("m%d.%d;", t, i);
       EXPECT_NE(drained.find(needle), std::string::npos) << needle;
     }
   }

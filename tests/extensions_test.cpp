@@ -1,16 +1,16 @@
 // Tests for the extension features: timeline visualisation, the
 // dimensional warehouse (§IV-F future work), packet-route analysis,
-// the parallel campaign runner, detailed topology recording (§IV-B4
+// campaigns as service batches, detailed topology recording (§IV-B4
 // future work), plugin measurements (§IV-B), and the NodeManager's RPC
 // surface exercised directly over the control channel.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
-#include "core/campaign.hpp"
 #include "core/master.hpp"
 #include "core/node_manager.hpp"
 #include "core/scenario.hpp"
+#include "core/service.hpp"
 #include "stats/analysis.hpp"
 #include "stats/timeline.hpp"
 #include "storage/repository.hpp"
@@ -207,7 +207,16 @@ TEST(RouteStats, MultiHopRoutesVisible) {
   EXPECT_EQ(sum, routes.value().receptions);
 }
 
-// ---- campaign runner ----------------------------------------------------------------
+// ---- campaigns as service batches -------------------------------------------------------
+
+core::Submission campaign_submission(std::uint64_t platform_seed) {
+  core::scenario::TwoPartyOptions options;
+  options.replications = 2;
+  core::Submission submission;
+  submission.description = core::scenario::two_party_sd(options).value();
+  submission.scope.platform_seed = platform_seed;
+  return submission;
+}
 
 TEST(Campaign, RunsEntriesInParallelAndArchives) {
   TempDir dir;
@@ -215,68 +224,53 @@ TEST(Campaign, RunsEntriesInParallelAndArchives) {
       storage::Repository::open((dir.path / "repo").string());
   ASSERT_TRUE(repo.ok());
 
-  std::vector<core::CampaignEntry> entries;
+  std::vector<core::Submission> submissions;
   for (int i = 0; i < 3; ++i) {
-    core::scenario::TwoPartyOptions options;
-    options.replications = 2;
-    core::CampaignEntry entry;
-    entry.id = "campaign-" + std::to_string(i);
-    entry.description =
-        core::scenario::two_party_sd(options).value();
-    entry.platform.topology =
-        core::scenario::topology_for(entry.description, {}).value();
-    entry.platform.seed = static_cast<std::uint64_t>(i + 1);
-    entries.push_back(std::move(entry));
+    submissions.push_back(
+        campaign_submission(static_cast<std::uint64_t>(i + 1)));
   }
+  core::ExperimentService::Config config;
+  config.workers = 3;
+  config.repository = &repo.value();
+  core::ExperimentService service(std::move(config));
+  std::vector<core::ServiceReply> replies = service.submit_all(submissions);
 
-  int progress = 0;
-  core::CampaignOptions options;
-  options.workers = 3;
-  options.archive = &repo.value();
-  options.progress = [&progress](const std::string&, bool ok) {
-    if (ok) ++progress;
-  };
-  std::vector<core::CampaignOutcome> outcomes =
-      core::run_campaign(std::move(entries), options);
-
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(progress, 3);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_EQ(outcomes[i].id, "campaign-" + std::to_string(i));
-    ASSERT_TRUE(outcomes[i].package.ok());
-    EXPECT_TRUE(repo.value().contains(outcomes[i].id));
+  // Replies come back in input order; naming them runs on this thread.
+  ASSERT_EQ(replies.size(), 3u);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    ASSERT_EQ(replies[i].outcome, core::SubmitOutcome::kSimulated);
+    EXPECT_EQ(replies[i].digest, submissions[i].digest());
+    const std::string name = "campaign-" + std::to_string(i);
+    ASSERT_TRUE(repo.value().alias(name, replies[i].digest).ok());
+    EXPECT_EQ(repo.value().resolve(name).value(), replies[i].digest);
   }
+  EXPECT_EQ(repo.value().size(), 3u);
   // Different seeds -> different packet timings, same structure.
-  EXPECT_EQ(outcomes[0].package.value().run_ids().size(), 2u);
+  EXPECT_EQ(replies[0].package->run_ids().size(), 2u);
 }
 
 TEST(Campaign, FailuresIsolatedPerEntry) {
-  std::vector<core::CampaignEntry> entries;
-  {
-    core::scenario::TwoPartyOptions options;
-    options.replications = 1;
-    core::CampaignEntry good;
-    good.id = "good";
-    good.description = core::scenario::two_party_sd(options).value();
-    good.platform.topology =
-        core::scenario::topology_for(good.description, {}).value();
-    entries.push_back(std::move(good));
-  }
-  {
-    core::CampaignEntry bad;
-    bad.id = "bad";
-    core::scenario::TwoPartyOptions options;
-    options.replications = 1;
-    bad.description = core::scenario::two_party_sd(options).value();
-    // Topology missing the described nodes -> platform creation fails.
-    bad.platform.topology = net::Topology::chain(2);
-    entries.push_back(std::move(bad));
-  }
-  std::vector<core::CampaignOutcome> outcomes =
-      core::run_campaign(std::move(entries), {});
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].package.ok());
-  EXPECT_FALSE(outcomes[1].package.ok());
+  std::vector<core::Submission> submissions;
+  submissions.push_back(campaign_submission(1));
+  core::Submission bad = campaign_submission(1);
+  // An action the interpreter does not know fails every attempt.
+  bad.description.actor_processes[0].actions[0].name = "no_such_action";
+  bad.scope.max_attempts_per_run = 1;
+  submissions.push_back(std::move(bad));
+  submissions.push_back(campaign_submission(2));
+
+  core::ExperimentService::Config config;
+  config.workers = 2;
+  core::ExperimentService service(std::move(config));
+  std::vector<core::ServiceReply> replies =
+      service.submit_all(std::move(submissions));
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].outcome, core::SubmitOutcome::kSimulated);
+  EXPECT_EQ(replies[1].outcome, core::SubmitOutcome::kFailed);
+  EXPECT_FALSE(replies[1].status.ok());
+  EXPECT_EQ(replies[1].package, nullptr);
+  EXPECT_EQ(replies[2].outcome, core::SubmitOutcome::kSimulated);
+  EXPECT_EQ(service.stats().failures, 1u);
 }
 
 // ---- detailed topology recording -------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "common/thread_pool.hpp"
 #include "core/master.hpp"
 #include "core/scenario.hpp"
+#include "core/service.hpp"
 #include "stats/analysis.hpp"
 #include "storage/repository.hpp"
 
@@ -49,6 +50,15 @@ Result<storage::ExperimentPackage> execute_options(
   return master.execute();
 }
 
+/// The same experiment as execute_options, as a service submission.
+core::Submission submission_for(
+    const core::scenario::TwoPartyOptions& options, std::uint64_t seed) {
+  core::Submission submission;
+  submission.description = core::scenario::two_party_sd(options).value();
+  submission.scope.platform_seed = seed;
+  return submission;
+}
+
 TEST(Integration, XmlTextToPackagePipeline) {
   // Author the description as text (as an experimenter would), then run the
   // entire workflow from the parsed document.
@@ -86,22 +96,28 @@ TEST(Integration, PackageSurvivesDiskAndRepository) {
   TempDir dir;
   core::scenario::TwoPartyOptions options;
   options.replications = 2;
-  Result<storage::ExperimentPackage> package = execute_options(options, 7);
-  ASSERT_TRUE(package.ok());
-
   Result<storage::Repository> repo =
       storage::Repository::open((dir.path / "repo").string());
   ASSERT_TRUE(repo.ok());
-  ASSERT_TRUE(repo.value().store("exp-1", package.value()).ok());
+  core::ExperimentService::Config config;
+  config.workers = 1;
+  config.repository = &repo.value();
+  core::ExperimentService service(std::move(config));
+  const core::ServiceReply reply = service.submit(submission_for(options, 7));
+  ASSERT_TRUE(reply.status.ok()) << reply.status.error().to_string();
+  const storage::ExperimentPackage& package = *reply.package;
+  ASSERT_TRUE(repo.value().alias("exp-1", reply.digest).ok());
 
-  Result<storage::ExperimentPackage> fetched = repo.value().fetch("exp-1");
+  Result<std::string> digest = repo.value().resolve("exp-1");
+  ASSERT_TRUE(digest.ok());
+  Result<storage::ExperimentPackage> fetched =
+      repo.value().fetch(digest.value());
   ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(fetched.value().event_count(), package.value().event_count());
-  EXPECT_EQ(fetched.value().packet_count(), package.value().packet_count());
+  EXPECT_EQ(fetched.value().event_count(), package.event_count());
+  EXPECT_EQ(fetched.value().packet_count(), package.packet_count());
 
   // Analysis gives identical results on the reloaded package.
-  Result<stats::Proportion> before =
-      stats::responsiveness(package.value(), 5.0, 1);
+  Result<stats::Proportion> before = stats::responsiveness(package, 5.0, 1);
   Result<stats::Proportion> after =
       stats::responsiveness(fetched.value(), 5.0, 1);
   ASSERT_TRUE(before.ok());
@@ -155,7 +171,7 @@ TEST(Integration, ParallelCampaignsAreDeterministic) {
   options.replications = 2;
   constexpr int kCampaigns = 4;
 
-  auto run_campaign = [&](std::uint64_t seed) -> std::string {
+  auto fingerprint = [&](std::uint64_t seed) -> std::string {
     Result<storage::ExperimentPackage> package =
         execute_options(options, seed);
     EXPECT_TRUE(package.ok());
@@ -171,13 +187,13 @@ TEST(Integration, ParallelCampaignsAreDeterministic) {
   std::vector<std::string> sequential;
   sequential.reserve(kCampaigns);
   for (int i = 0; i < kCampaigns; ++i) {
-    sequential.push_back(run_campaign(static_cast<std::uint64_t>(i + 1)));
+    sequential.push_back(fingerprint(static_cast<std::uint64_t>(i + 1)));
   }
 
   std::vector<std::string> parallel(kCampaigns);
   ThreadPool pool(4);
   pool.parallel_for(kCampaigns, [&](std::size_t i) {
-    parallel[i] = run_campaign(static_cast<std::uint64_t>(i + 1));
+    parallel[i] = fingerprint(static_cast<std::uint64_t>(i + 1));
   });
 
   EXPECT_EQ(sequential, parallel);
@@ -291,20 +307,30 @@ TEST(Integration, RepositoryComparesArchitectures) {
       storage::Repository::open((dir.path / "repo").string());
   ASSERT_TRUE(repo.ok());
 
-  for (const char* protocol : {"mdns", "slp"}) {
+  const std::vector<std::string> protocols = {"mdns", "slp"};
+  std::vector<core::Submission> submissions;
+  for (const std::string& protocol : protocols) {
     core::scenario::TwoPartyOptions options;
     options.replications = 2;
     options.protocol = protocol;
-    if (std::string(protocol) == "slp") {
+    if (protocol == "slp") {
       options.scm_count = 1;
       options.architecture = "three-party";
     }
-    Result<storage::ExperimentPackage> package =
-        execute_options(options, 31);
-    ASSERT_TRUE(package.ok()) << package.error().to_string();
+    submissions.push_back(submission_for(options, 31));
+  }
+  core::ExperimentService::Config config;
+  config.workers = 2;
+  config.repository = &repo.value();
+  core::ExperimentService service(std::move(config));
+  const std::vector<core::ServiceReply> replies =
+      service.submit_all(std::move(submissions));
+  ASSERT_EQ(replies.size(), protocols.size());
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    ASSERT_TRUE(replies[i].status.ok())
+        << replies[i].status.error().to_string();
     ASSERT_TRUE(
-        repo.value().store(std::string("arch-") + protocol, package.value())
-            .ok());
+        repo.value().alias("arch-" + protocols[i], replies[i].digest).ok());
   }
 
   // Cross-experiment query: both experiments discovered services.

@@ -367,8 +367,8 @@ TEST_P(SdCodecProperty, RandomMessagesRoundTrip) {
       record.instance.version = rng.bounded(10);
       std::uint32_t attrs = rng.bounded(3);
       for (std::uint32_t a = 0; a < attrs; ++a) {
-        record.instance.attributes["k" + std::to_string(a)] =
-            "v" + std::to_string(rng.bounded(10));
+        record.instance.attributes[strings::format("k%u", a)] =
+            strings::format("v%u", rng.bounded(10));
       }
       record.ttl_seconds = rng.bounded(300);
       message.records.push_back(std::move(record));
@@ -820,7 +820,8 @@ Result<net::Topology> naive_random_geometric(std::size_t size, double radius,
                                static_cast<std::uint64_t>(attempt));
     net::Topology topo;
     for (std::size_t i = 0; i < size; ++i) {
-      topo.add_node("n" + std::to_string(i), rng.uniform01(), rng.uniform01());
+      topo.add_node(strings::format("n%zu", i), rng.uniform01(),
+                    rng.uniform01());
     }
     for (std::size_t i = 0; i < size; ++i) {
       for (std::size_t j = i + 1; j < size; ++j) {

@@ -261,7 +261,7 @@ TEST(ExperimentService, DiskHitAcrossServiceInstancesIsByteIdentical) {
     const ServiceReply reply = service.submit(submission);
     ASSERT_EQ(reply.outcome, SubmitOutcome::kSimulated);
     fresh_bytes = bytes_of(*reply.package);
-    EXPECT_TRUE(repo.value().contains_hash(reply.digest));
+    EXPECT_TRUE(repo.value().contains(reply.digest));
   }
 
   // A brand-new service with no memory cache must answer from disk.
@@ -315,6 +315,41 @@ TEST(ExperimentService, CorruptCasEntryDegradesToMiss) {
   EXPECT_EQ(reply.outcome, SubmitOutcome::kSimulated);
   ASSERT_NE(reply.package, nullptr);
   EXPECT_EQ(bytes_of(*reply.package), fresh_bytes);
+}
+
+TEST(ExperimentService, HandPlacedCasFileGivesDiskHit) {
+  // The repository has no CAS index file: a package placed in the sharded
+  // layout by hand (as an older build wrote it) is served as a disk hit.
+  const Submission submission = small_submission();
+  Bytes fresh_bytes;
+  {
+    ExperimentService::Config config;
+    config.workers = 1;
+    ExperimentService service(std::move(config));
+    const ServiceReply reply = service.submit(submission);
+    ASSERT_EQ(reply.outcome, SubmitOutcome::kSimulated);
+    fresh_bytes = bytes_of(*reply.package);
+  }
+  TempDir dir;
+  const std::string digest = submission.digest();
+  const fs::path shard = dir.path / "cas" / digest.substr(0, 2);
+  fs::create_directories(shard);
+  std::ofstream(shard / (digest + ".excovery"), std::ios::binary)
+      .write(reinterpret_cast<const char*>(fresh_bytes.data()),
+             static_cast<std::streamsize>(fresh_bytes.size()));
+
+  Result<storage::Repository> repo =
+      storage::Repository::open(dir.path.string());
+  ASSERT_TRUE(repo.ok());
+  ExperimentService::Config config;
+  config.workers = 1;
+  config.repository = &repo.value();
+  ExperimentService service(std::move(config));
+  const ServiceReply reply = service.submit(submission);
+  EXPECT_EQ(reply.outcome, SubmitOutcome::kDiskHit);
+  ASSERT_NE(reply.package, nullptr);
+  EXPECT_EQ(bytes_of(*reply.package), fresh_bytes);
+  EXPECT_EQ(service.stats().simulations, 0u);
 }
 
 TEST(ExperimentService, LruEvictsLeastRecentlyUsed) {
@@ -400,6 +435,60 @@ TEST(ExperimentService, MetricsMirrorCacheBehaviour) {
   EXPECT_TRUE(depth.gauge_set);
   EXPECT_EQ(depth.gauge_last, 0);  // drained
   EXPECT_GE(depth.gauge_max, 1);
+}
+
+TEST(ExperimentService, BatchBeyondQueueDepthCompletesWithoutRejection) {
+  constexpr std::size_t kDepth = 2;
+  ExperimentService::Config config;
+  config.workers = 2;
+  config.max_queue_depth = kDepth;
+  ExperimentService service(std::move(config));
+
+  std::vector<Submission> batch;
+  for (std::uint64_t seed = 1; seed <= kDepth + 3; ++seed) {
+    batch.push_back(small_submission(seed));
+  }
+  const std::vector<ServiceReply> replies = service.submit_all(batch);
+  ASSERT_EQ(replies.size(), batch.size());
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].outcome, SubmitOutcome::kSimulated) << i;
+    EXPECT_EQ(replies[i].digest, batch[i].digest()) << i;  // input order
+    EXPECT_NE(replies[i].package, nullptr) << i;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.simulations, batch.size());
+  EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(ExperimentService, BatchDuplicateSimulatesOnce) {
+  ExperimentService* service_ptr = nullptr;
+  ExperimentService::Config config;
+  config.workers = 2;
+  // Hold simulations until the duplicate has attached to the in-flight
+  // original, so the coalescing below is deterministic.
+  config.before_simulate = [&](const std::string&) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (service_ptr->stats().coalesced < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  ExperimentService service(std::move(config));
+  service_ptr = &service;
+
+  const std::vector<ServiceReply> replies = service.submit_all(
+      {small_submission(1), small_submission(2), small_submission(1)});
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].outcome, SubmitOutcome::kSimulated);
+  EXPECT_EQ(replies[1].outcome, SubmitOutcome::kSimulated);
+  EXPECT_EQ(replies[2].outcome, SubmitOutcome::kCoalesced);
+  ASSERT_NE(replies[2].package, nullptr);
+  EXPECT_EQ(replies[2].package.get(), replies[0].package.get());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.simulations, 2u);
+  EXPECT_EQ(stats.coalesced, 1u);
 }
 
 }  // namespace

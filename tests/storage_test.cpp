@@ -8,6 +8,7 @@
 #include <fstream>
 #include <numeric>
 
+#include "common/strings.hpp"
 #include "stats/analysis.hpp"
 #include "storage/conditioning.hpp"
 #include "storage/database.hpp"
@@ -661,7 +662,7 @@ TEST(Conditioning, BlobsRouteToCorrectTables) {
 Level2Store busy_level2() {
   Level2Store level2;
   for (int n = 0; n < 5; ++n) {
-    std::string node = "N" + std::to_string(n);
+    std::string node = strings::format("N%d", n);
     for (int run = 1; run <= 4; ++run) {
       for (int e = 0; e < 20; ++e) {
         level2.node(node).record_event(
@@ -756,50 +757,78 @@ ExperimentPackage tiny_package(const std::string& name, int runs) {
   return package;
 }
 
+constexpr char kDigestA[] =
+    "aa11223344556677889900aabbccddeeff00112233445566778899aabbccddee";
+constexpr char kDigestB[] =
+    "bb11223344556677889900aabbccddeeff00112233445566778899aabbccddee";
+
+std::size_t line_count(const fs::path& path) {
+  std::ifstream in(path);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
 TEST(Repository, StoreFetchAndIndex) {
   TempDir dir;
   Result<Repository> repo = Repository::open(dir.path.string());
   ASSERT_TRUE(repo.ok());
   EXPECT_EQ(repo.value().size(), 0u);
 
-  ASSERT_TRUE(repo.value().store("exp-a", tiny_package("A", 2)).ok());
-  ASSERT_TRUE(repo.value().store("exp-b", tiny_package("B", 3)).ok());
-  EXPECT_FALSE(repo.value().store("../evil", tiny_package("E", 1)).ok());
+  ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 2)).ok());
+  ASSERT_TRUE(repo.value().store(kDigestB, tiny_package("B", 3)).ok());
+  ASSERT_TRUE(repo.value().alias("exp-a", kDigestA).ok());
+  ASSERT_TRUE(repo.value().alias("exp-b", kDigestB).ok());
+  // Names are one line each in names.txt: no empty names, no separators,
+  // and only stored digests can be named.
+  EXPECT_FALSE(repo.value().alias("", kDigestA).ok());
+  EXPECT_FALSE(repo.value().alias("bad\tname", kDigestA).ok());
+  EXPECT_FALSE(repo.value().alias("bad\nname", kDigestA).ok());
+  EXPECT_FALSE(repo.value()
+                   .alias("exp-c", std::string(kDigestA).replace(0, 2, "cc"))
+                   .ok());
 
-  EXPECT_TRUE(repo.value().contains("exp-a"));
-  EXPECT_EQ(repo.value().experiment_ids(),
+  EXPECT_EQ(repo.value().names(),
             (std::vector<std::string>{"exp-a", "exp-b"}));
-  Result<ExperimentPackage> fetched = repo.value().fetch("exp-b");
+  EXPECT_EQ(repo.value().digests(),
+            (std::vector<std::string>{kDigestA, kDigestB}));
+  Result<std::string> digest = repo.value().resolve("exp-b");
+  ASSERT_TRUE(digest.ok());
+  EXPECT_EQ(digest.value(), kDigestB);
+  Result<ExperimentPackage> fetched = repo.value().fetch(digest.value());
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value().experiment_name().value(), "B");
-  EXPECT_FALSE(repo.value().fetch("nope").ok());
+  EXPECT_FALSE(repo.value().resolve("nope").ok());
 }
 
 TEST(Repository, ReStoreReplacesWithoutLeakingFilesOrIndexEntries) {
   TempDir dir;
   Result<Repository> repo = Repository::open(dir.path.string());
   ASSERT_TRUE(repo.ok());
-  ASSERT_TRUE(repo.value().store("exp-a", tiny_package("old", 2)).ok());
-  ASSERT_TRUE(repo.value().store("exp-a", tiny_package("new", 1)).ok());
+  ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("old", 2)).ok());
+  ASSERT_TRUE(repo.value().store(kDigestB, tiny_package("new", 1)).ok());
+  ASSERT_TRUE(repo.value().alias("exp-a", kDigestA).ok());
+  ASSERT_TRUE(repo.value().alias("exp-a", kDigestB).ok());
 
-  // Replace semantics: the new content is served, exactly one package
-  // file and one index line remain, and no .tmp sibling leaks.
-  Result<ExperimentPackage> fetched = repo.value().fetch("exp-a");
+  // Re-aliasing re-points the name: the new content is served, exactly one
+  // names.txt line remains, both packages stay addressable by digest, and
+  // no .tmp sibling leaks.
+  Result<std::string> digest = repo.value().resolve("exp-a");
+  ASSERT_TRUE(digest.ok());
+  EXPECT_EQ(digest.value(), kDigestB);
+  Result<ExperimentPackage> fetched = repo.value().fetch(digest.value());
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value().experiment_name().value(), "new");
-  EXPECT_EQ(repo.value().size(), 1u);
+  EXPECT_EQ(repo.value().names().size(), 1u);
+  EXPECT_EQ(repo.value().size(), 2u);
+  EXPECT_EQ(line_count(dir.path / "names.txt"), 1u);
 
   std::size_t packages = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
+  for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
     if (entry.path().extension() == ".excovery") ++packages;
   }
-  EXPECT_EQ(packages, 1u);
-
-  std::ifstream index(dir.path / "index.txt");
-  std::size_t lines = 0;
-  for (std::string line; std::getline(index, line);) ++lines;
-  EXPECT_EQ(lines, 1u);
+  EXPECT_EQ(packages, 2u);
 }
 
 TEST(Repository, ReopenRebuildsIndexFromFiles) {
@@ -807,19 +836,25 @@ TEST(Repository, ReopenRebuildsIndexFromFiles) {
   {
     Result<Repository> repo = Repository::open(dir.path.string());
     ASSERT_TRUE(repo.ok());
-    ASSERT_TRUE(repo.value().store("exp-a", tiny_package("A", 1)).ok());
+    ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 1)).ok());
+    ASSERT_TRUE(repo.value().alias("exp-a", kDigestA).ok());
   }
   Result<Repository> reopened = Repository::open(dir.path.string());
   ASSERT_TRUE(reopened.ok());
-  EXPECT_TRUE(reopened.value().contains("exp-a"));
+  EXPECT_TRUE(reopened.value().contains(kDigestA));
+  Result<std::string> digest = reopened.value().resolve("exp-a");
+  ASSERT_TRUE(digest.ok());
+  EXPECT_EQ(digest.value(), kDigestA);
 }
 
 TEST(Repository, CrossExperimentQueries) {
   TempDir dir;
   Result<Repository> repo = Repository::open(dir.path.string());
   ASSERT_TRUE(repo.ok());
-  ASSERT_TRUE(repo.value().store("exp-a", tiny_package("A", 2)).ok());
-  ASSERT_TRUE(repo.value().store("exp-b", tiny_package("B", 3)).ok());
+  ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 2)).ok());
+  ASSERT_TRUE(repo.value().store(kDigestB, tiny_package("B", 3)).ok());
+  ASSERT_TRUE(repo.value().alias("exp-a", kDigestA).ok());
+  ASSERT_TRUE(repo.value().alias("exp-b", kDigestB).ok());
 
   Result<std::vector<Repository::CrossEvent>> adds =
       repo.value().events_of_type("sd_service_add");
@@ -830,45 +865,41 @@ TEST(Repository, CrossExperimentQueries) {
       repo.value().summaries();
   ASSERT_TRUE(summaries.ok());
   ASSERT_EQ(summaries.value().size(), 2u);
+  EXPECT_EQ(summaries.value()[0].experiment_id, "exp-a");
   EXPECT_EQ(summaries.value()[0].runs, 2u);
   EXPECT_EQ(summaries.value()[1].events, 3u);
 }
 
-// ---- repository CAS space ------------------------------------------------------------------
-
-constexpr char kDigestA[] =
-    "aa11223344556677889900aabbccddeeff00112233445566778899aabbccddee";
-constexpr char kDigestB[] =
-    "bb11223344556677889900aabbccddeeff00112233445566778899aabbccddee";
+// ---- repository CAS layout -----------------------------------------------------------------
 
 TEST(Repository, CasStoreFetchAndLayout) {
   TempDir dir;
   Result<Repository> repo = Repository::open(dir.path.string());
   ASSERT_TRUE(repo.ok());
-  EXPECT_FALSE(repo.value().contains_hash(kDigestA));
+  EXPECT_FALSE(repo.value().contains(kDigestA));
 
-  ASSERT_TRUE(repo.value().store_by_hash(kDigestA, tiny_package("A", 2)).ok());
-  EXPECT_TRUE(repo.value().contains_hash(kDigestA));
-  EXPECT_EQ(repo.value().cas_size(), 1u);
+  ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 2)).ok());
+  EXPECT_TRUE(repo.value().contains(kDigestA));
+  EXPECT_EQ(repo.value().size(), 1u);
   // Sharded layout: cas/<first two hex chars>/<digest>.excovery.
   EXPECT_TRUE(fs::exists(dir.path / "cas" / "aa" /
                          (std::string(kDigestA) + ".excovery")));
 
-  Result<ExperimentPackage> fetched = repo.value().fetch_by_hash(kDigestA);
+  Result<ExperimentPackage> fetched = repo.value().fetch(kDigestA);
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value().experiment_name().value(), "A");
-  EXPECT_FALSE(repo.value().fetch_by_hash(kDigestB).ok());
+  EXPECT_FALSE(repo.value().fetch(kDigestB).ok());
 
   // Content addressing makes re-storing idempotent: equal digest means
   // equal content, so the original file is kept as-is.
-  ASSERT_TRUE(repo.value().store_by_hash(kDigestA, tiny_package("A", 2)).ok());
-  EXPECT_EQ(repo.value().cas_size(), 1u);
+  ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 2)).ok());
+  EXPECT_EQ(repo.value().size(), 1u);
 
-  // Digest validation: ids and digests live in separate namespaces.
-  EXPECT_FALSE(repo.value().store_by_hash("UPPER", tiny_package("X", 1)).ok());
-  EXPECT_FALSE(
-      repo.value().store_by_hash("../evil", tiny_package("X", 1)).ok());
-  EXPECT_FALSE(repo.value().contains("exp-a"));
+  // Digest validation: only lower-case hex reaches the file system.
+  EXPECT_FALSE(repo.value().store("UPPER", tiny_package("X", 1)).ok());
+  EXPECT_FALSE(repo.value().store("../evil", tiny_package("X", 1)).ok());
+  EXPECT_EQ(repo.value().size(), 1u);
+  EXPECT_TRUE(repo.value().names().empty());
 }
 
 TEST(Repository, CasSurvivesReopenAndToleratesCorruptIndexes) {
@@ -876,30 +907,57 @@ TEST(Repository, CasSurvivesReopenAndToleratesCorruptIndexes) {
   {
     Result<Repository> repo = Repository::open(dir.path.string());
     ASSERT_TRUE(repo.ok());
-    ASSERT_TRUE(
-        repo.value().store_by_hash(kDigestA, tiny_package("A", 2)).ok());
-    ASSERT_TRUE(repo.value().store("exp-a", tiny_package("plain", 1)).ok());
+    ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 2)).ok());
+    ASSERT_TRUE(repo.value().alias("exp-a", kDigestA).ok());
   }
 
-  // Corrupt both index files the way a crash mid-write could: garbage
-  // lines, missing columns, and entries pointing at files that don't
-  // exist.  open() must skip the damage and keep the real packages.
-  std::ofstream(dir.path / "index.txt", std::ios::app)
-      << "no-tab-line\n\t\nexp-gone\tgone.excovery\n";
-  std::ofstream(dir.path / "cas-index.txt", std::ios::app)
-      << "NOT-HEX\tcas/xx/y.excovery\n"
-      << kDigestB << "\tcas/bb/" << kDigestB << ".excovery\n"
-      << kDigestA << "\t../outside.excovery\n";
+  // Corrupt names.txt the way a crash mid-write could: garbage lines,
+  // missing columns, and an alias to a digest whose package does not
+  // exist.  open() must skip the damage and keep the real alias.
+  std::ofstream(dir.path / "names.txt", std::ios::app)
+      << "no-tab-line\n\t\n\t" << kDigestA << "\nexp-empty\t\n"
+      << "exp-gone\t" << kDigestB << "\n";
 
   Result<Repository> reopened = Repository::open(dir.path.string());
   ASSERT_TRUE(reopened.ok());
-  EXPECT_TRUE(reopened.value().contains("exp-a"));
-  EXPECT_FALSE(reopened.value().contains("exp-gone"));
-  EXPECT_TRUE(reopened.value().contains_hash(kDigestA));
-  EXPECT_FALSE(reopened.value().contains_hash(kDigestB));
-  EXPECT_EQ(reopened.value().cas_size(), 1u);
-  Result<ExperimentPackage> fetched =
-      reopened.value().fetch_by_hash(kDigestA);
+  EXPECT_EQ(reopened.value().names(), (std::vector<std::string>{"exp-a"}));
+  EXPECT_FALSE(reopened.value().resolve("exp-gone").ok());
+  EXPECT_TRUE(reopened.value().contains(kDigestA));
+  EXPECT_FALSE(reopened.value().contains(kDigestB));
+  EXPECT_EQ(reopened.value().size(), 1u);
+  Result<std::string> digest = reopened.value().resolve("exp-a");
+  ASSERT_TRUE(digest.ok());
+  Result<ExperimentPackage> fetched = reopened.value().fetch(digest.value());
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(fetched.value().experiment_name().value(), "A");
+
+  // The next alias rewrites names.txt without the damaged lines.
+  ASSERT_TRUE(reopened.value().alias("exp-a2", kDigestA).ok());
+  EXPECT_EQ(line_count(dir.path / "names.txt"), 2u);
+}
+
+TEST(Repository, OpensHandPlacedCasFiles) {
+  // The directory scan is the only CAS index: a package file copied into
+  // the sharded layout by hand (or by an older build) is found, while
+  // misplaced files, non-digest stems and leftover .tmp siblings are not.
+  TempDir dir;
+  const Bytes bytes = tiny_package("A", 1).database().serialize();
+  const auto place = [&](const fs::path& path) {
+    fs::create_directories(path.parent_path());
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+  };
+  place(dir.path / "cas" / "aa" / (std::string(kDigestA) + ".excovery"));
+  place(dir.path / "cas" / "aa" / (std::string(kDigestB) + ".excovery"));
+  place(dir.path / "cas" / "bb" / (std::string(kDigestB) + ".excovery.tmp"));
+  place(dir.path / "cas" / "bb" / "NOT-HEX.excovery");
+  place(dir.path / "exp-a.excovery");
+
+  Result<Repository> repo = Repository::open(dir.path.string());
+  ASSERT_TRUE(repo.ok());
+  EXPECT_EQ(repo.value().digests(), (std::vector<std::string>{kDigestA}));
+  Result<ExperimentPackage> fetched = repo.value().fetch(kDigestA);
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched.value().experiment_name().value(), "A");
 }
@@ -908,8 +966,8 @@ TEST(Repository, StoreLeavesNoTempFilesBehind) {
   TempDir dir;
   Result<Repository> repo = Repository::open(dir.path.string());
   ASSERT_TRUE(repo.ok());
-  ASSERT_TRUE(repo.value().store("exp-a", tiny_package("A", 1)).ok());
-  ASSERT_TRUE(repo.value().store_by_hash(kDigestA, tiny_package("A", 1)).ok());
+  ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 1)).ok());
+  ASSERT_TRUE(repo.value().alias("exp-a", kDigestA).ok());
   for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
