@@ -58,9 +58,9 @@ Cell run_cell(const char* protocol, bool with_scm, bool kill_scm,
       bench::execute_description(std::move(description)), protocol);
 
   Cell cell;
-  stats::Proportion p = bench::must(
-      stats::responsiveness(executed.package, 12.0, 1), "responsiveness");
-  cell.responsiveness = p.estimate;
+  const std::vector<stats::RunDiscovery> discoveries = bench::must(
+      stats::discoveries(executed.package), "discoveries");
+  cell.responsiveness = stats::responsiveness(discoveries, 12.0, 1).estimate;
   std::vector<stats::PacketStats> packet_stats = bench::must(
       stats::packet_stats(executed.package), "packet stats");
   double transmitted = 0;

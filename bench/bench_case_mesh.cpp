@@ -14,12 +14,11 @@ using namespace excovery;
 
 namespace {
 
-double responsiveness_of(const bench::Executed& executed, double deadline,
-                         std::size_t required) {
-  stats::Proportion p = bench::must(
-      stats::responsiveness(executed.package, deadline, required),
-      "responsiveness");
-  return p.estimate;
+/// One discovery scan per executed cell; every figure of the cell is read
+/// from it.
+std::vector<stats::RunDiscovery> discoveries_of(
+    const bench::Executed& executed) {
+  return bench::must(stats::discoveries(executed.package), "discoveries");
 }
 
 }  // namespace
@@ -46,11 +45,11 @@ int main(int argc, char** argv) {
     topology.link.loss = 0.15;
     bench::Executed executed = bench::must(
         bench::execute(options, 42, topology), "chain experiment");
-    std::vector<double> latencies = bench::must(
-        stats::first_latencies(executed.package), "latencies");
+    const std::vector<stats::RunDiscovery> discoveries =
+        discoveries_of(executed);
     std::printf("    %-6d %-16.2f %.3fs\n", spacing,
-                responsiveness_of(executed, 3.0, 1),
-                stats::mean(latencies));
+                stats::responsiveness(discoveries, 3.0, 1).estimate,
+                stats::mean(stats::first_latencies(discoveries)));
   }
 
   // (b) number of providers that must all be discovered.  This cell sweep
@@ -70,8 +69,9 @@ int main(int argc, char** argv) {
     bench::Executed executed =
         bench::must(bench::execute(options), "provider experiment");
     std::printf("    %-6d %.2f\n", sms,
-                responsiveness_of(executed, 3.0,
-                                  static_cast<std::size_t>(sms)));
+                stats::responsiveness(discoveries_of(executed), 3.0,
+                                      static_cast<std::size_t>(sms))
+                    .estimate);
   }
 
   // (c) background load on a shared grid mesh.
@@ -94,11 +94,11 @@ int main(int argc, char** argv) {
     topology.link.loss = 0.05;
     bench::Executed executed = bench::must(
         bench::execute(options, 42, topology), "load experiment");
-    std::vector<double> latencies = bench::must(
-        stats::first_latencies(executed.package), "latencies");
+    const std::vector<stats::RunDiscovery> discoveries =
+        discoveries_of(executed);
     std::printf("    %-10lld %-16.2f %.3fs\n", static_cast<long long>(bw),
-                responsiveness_of(executed, 2.0, 1),
-                stats::mean(latencies));
+                stats::responsiveness(discoveries, 2.0, 1).estimate,
+                stats::mean(stats::first_latencies(discoveries)));
   }
 
   std::printf(

@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
   }
 
   // Latency distribution: the retransmission steps should be visible.
-  std::vector<double> latencies = bench::must(
-      stats::discovery_latencies(executed.package), "latencies");
+  std::vector<double> latencies = stats::discovery_latencies(discoveries);
   std::printf("\ndiscovery latency histogram (all loss levels pooled):\n");
   stats::Histogram histogram(0.0, 4.0, 16);
   for (double latency : latencies) histogram.add(latency);

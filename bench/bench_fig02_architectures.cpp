@@ -61,8 +61,10 @@ void run_architecture(const char* label, const char* protocol,
   std::printf("total transmissions: %zu (%.1f KiB)\n", total_packets,
               total_bytes / 1024.0);
 
-  stats::Proportion responsiveness = bench::must(
-      stats::responsiveness(executed.package, 15.0, 2), "responsiveness");
+  const std::vector<stats::RunDiscovery> discoveries = bench::must(
+      stats::discoveries(executed.package), "discoveries");
+  const stats::Proportion responsiveness =
+      stats::responsiveness(discoveries, 15.0, 2);
   std::printf("both SMs discovered within 15s: %.2f\n",
               responsiveness.estimate);
 }

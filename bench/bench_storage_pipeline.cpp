@@ -2,8 +2,9 @@
 //
 // Measures the level-3 storage paths the analysis pipeline hammers: row
 // insertion, per-run point queries and ordered scans over an event-shaped
-// table, level-2 -> level-3 conditioning of a multi-node package, and
-// (de)serialisation bandwidth of the single-file database image.
+// table, level-2 -> level-3 conditioning of a multi-node package,
+// (de)serialisation bandwidth of the single-file database image, and the
+// discovery scan over a paper-sized package.
 //
 // The `Seed` variants replicate the previous implementation faithfully —
 // a row-oriented Value table with linear predicate scans, and a sequential
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "storage/conditioning.hpp"
 #include "storage/database.hpp"
@@ -315,6 +317,34 @@ void BM_DatabaseDeserialize(benchmark::State& state) {
                           static_cast<std::int64_t>(image.size()));
 }
 BENCHMARK(BM_DatabaseDeserialize)->Arg(100'000);
+
+// ---- discovery scan over a paper-sized package ------------------------------
+
+/// The [25]/Sec. V study of e2ebench's paper_loss workload: two-party mDNS,
+/// 4 loss levels x 1000 replications, 80k event rows.
+const ExperimentPackage& paper_package() {
+  static const bench::Executed executed = [] {
+    core::scenario::TwoPartyOptions options;
+    options.replications = 1000;
+    options.environment_count = 2;
+    options.deadline_s = 8.0;
+    options.loss_levels = {0.0, 0.2, 0.4, 0.6};
+    return bench::must(bench::execute(options), "paper-sized study");
+  }();
+  return executed.package;
+}
+
+void BM_Discoveries(benchmark::State& state) {
+  const ExperimentPackage& package = paper_package();
+  std::size_t found = 0;
+  for (auto _ : state) {
+    found += bench::must(stats::discoveries(package), "discoveries").size();
+  }
+  benchmark::DoNotOptimize(found);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(package.event_count()));
+}
+BENCHMARK(BM_Discoveries)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace excovery::storage

@@ -152,14 +152,14 @@ int main() {
                 timed_out ? "yes" : "no");
   }
 
-  Result<stats::Proportion> responsiveness =
-      stats::responsiveness(package.value(), options.deadline_s, 1);
-  if (responsiveness.ok()) {
+  if (discoveries.ok()) {
+    const stats::Proportion responsiveness =
+        stats::responsiveness(discoveries.value(), options.deadline_s, 1);
     std::printf(
         "\nresponsiveness under faults (deadline %.0fs): %.2f "
         "[%.2f..%.2f]\n",
-        options.deadline_s, responsiveness.value().estimate,
-        responsiveness.value().lower, responsiveness.value().upper);
+        options.deadline_s, responsiveness.estimate, responsiveness.lower,
+        responsiveness.upper);
   }
   return 0;
 }

@@ -259,16 +259,18 @@ int main(int argc, char** argv) {
     result = &*direct_package;
   }
 
-  // 5. Analysis: responsiveness and the event timeline of run 1.
-  Result<stats::Proportion> responsiveness =
-      stats::responsiveness(*result, 5.0, 1);
-  if (responsiveness.ok()) {
+  // 5. Analysis: one discovery scan, the responsiveness curve point from
+  // it, and the event timeline of run 1.
+  Result<std::vector<stats::RunDiscovery>> discoveries =
+      stats::discoveries(*result);
+  if (discoveries.ok()) {
+    const stats::Proportion responsiveness =
+        stats::responsiveness(discoveries.value(), 5.0, 1);
     std::printf(
         "responsiveness(deadline=5s): %.2f  [wilson 95%%: %.2f..%.2f]  "
         "(%zu/%zu runs)\n\n",
-        responsiveness.value().estimate, responsiveness.value().lower,
-        responsiveness.value().upper, responsiveness.value().successes,
-        responsiveness.value().trials);
+        responsiveness.estimate, responsiveness.lower, responsiveness.upper,
+        responsiveness.successes, responsiveness.trials);
   }
 
   std::printf("=== run 1 timeline ===\n");

@@ -105,18 +105,16 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  Result<std::vector<double>> latencies =
-      stats::discovery_latencies(package);
-  if (latencies.ok() && !latencies.value().empty()) {
+  const std::vector<double> latencies =
+      stats::discovery_latencies(discoveries.value());
+  if (!latencies.empty()) {
     std::printf("\ndiscovery latency distribution (all %zu discoveries):\n",
-                latencies.value().size());
+                latencies.size());
     std::printf("  mean %.3fs  median %.3fs  p95 %.3fs  max %.3fs\n",
-                stats::mean(latencies.value()),
-                stats::median(latencies.value()),
-                stats::percentile(latencies.value(), 95),
-                stats::max_of(latencies.value()));
+                stats::mean(latencies), stats::median(latencies),
+                stats::percentile(latencies, 95), stats::max_of(latencies));
     stats::Histogram histogram(0.0, 8.0, 16);
-    for (double latency : latencies.value()) histogram.add(latency);
+    for (double latency : latencies) histogram.add(latency);
     std::printf("%s", histogram.format(30).c_str());
   }
 

@@ -76,7 +76,9 @@ Result<stats::Proportion> run_architecture(const std::string& protocol,
       core::SimPlatform::create(description, std::move(config)));
   core::ExperiMaster master(description, *platform);
   EXC_ASSIGN_OR_RETURN(storage::ExperimentPackage package, master.execute());
-  return stats::responsiveness(package, options.deadline_s, 1);
+  EXC_ASSIGN_OR_RETURN(std::vector<stats::RunDiscovery> discoveries,
+                       stats::discoveries(package));
+  return stats::responsiveness(discoveries, options.deadline_s, 1);
 }
 
 void report(const char* label, const Result<stats::Proportion>& outcome) {

@@ -169,15 +169,16 @@ int main(int argc, char** argv) {
   }
 
   // Analysis + timeline of the first run.
-  Result<stats::Proportion> responsiveness =
-      stats::responsiveness(package.value(), 10.0, 2);
-  if (responsiveness.ok()) {
+  Result<std::vector<stats::RunDiscovery>> discoveries =
+      stats::discoveries(package.value());
+  if (discoveries.ok()) {
+    const stats::Proportion responsiveness =
+        stats::responsiveness(discoveries.value(), 10.0, 2);
     std::printf("\nboth SMs found within 10 s: %.2f [%.2f..%.2f] "
                 "(%zu/%zu runs)\n",
-                responsiveness.value().estimate,
-                responsiveness.value().lower, responsiveness.value().upper,
-                responsiveness.value().successes,
-                responsiveness.value().trials);
+                responsiveness.estimate, responsiveness.lower,
+                responsiveness.upper, responsiveness.successes,
+                responsiveness.trials);
   }
   stats::TimelineOptions timeline_options;
   timeline_options.marker_events = {"sd_start_publish", "sd_start_search",

@@ -1,31 +1,26 @@
 #include "common/bytes.hpp"
 
+#include <cassert>
+
 namespace excovery {
 
-void ByteWriter::u8(std::uint8_t v) { buffer_.push_back(v); }
-
-void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
+void ByteWriter::u64_at(std::size_t offset, std::uint64_t v) {
+  if (counting_) return;
+  assert(offset + sizeof v <= buffer_.size());
+  store_le(buffer_.data() + offset, v);
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void ByteWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-void ByteWriter::f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
+void ByteWriter::u32s(std::span<const std::uint32_t> values) {
+  if (counting_) {
+    counted_ += values.size_bytes();
+    return;
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    raw(reinterpret_cast<const std::uint8_t*>(values.data()),
+        values.size_bytes());
+  } else {
+    for (std::uint32_t v : values) u32(v);
+  }
 }
 
 void ByteWriter::string(std::string_view s) {
@@ -39,6 +34,10 @@ void ByteWriter::blob(const Bytes& b) {
 }
 
 void ByteWriter::raw(const std::uint8_t* data, std::size_t size) {
+  if (counting_) {
+    counted_ += size;
+    return;
+  }
   buffer_.insert(buffer_.end(), data, data + size);
 }
 

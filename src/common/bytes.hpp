@@ -2,8 +2,10 @@
 // storage package file format.  Everything is little-endian on the wire.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,16 +18,34 @@ namespace excovery {
 /// Append-only binary writer.
 class ByteWriter {
  public:
+  /// A writer that keeps no bytes and only advances size(): running write
+  /// code through it first gives the exact size to reserve for the real run.
+  static ByteWriter counting() noexcept {
+    ByteWriter w;
+    w.counting_ = true;
+    return w;
+  }
+
   const Bytes& bytes() const noexcept { return buffer_; }
   Bytes take() noexcept { return std::move(buffer_); }
-  std::size_t size() const noexcept { return buffer_.size(); }
+  std::size_t size() const noexcept {
+    return counting_ ? counted_ : buffer_.size();
+  }
+  void reserve(std::size_t capacity) { buffer_.reserve(capacity); }
 
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);
+  // u8 shares put_le with the wider appends: a push_back here, inlined next
+  // to put_le's resize, trips a GCC 12 -O3 -Wstringop-overflow false positive.
+  void u8(std::uint8_t v) { put_le(v); }
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
+  void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
+  /// Consecutive u32s, as one append on a little-endian host.
+  void u32s(std::span<const std::uint32_t> values);
+  /// Overwrite the 8 bytes at `offset` (already written) with `v`: the
+  /// back-patch for a length prefix written before the data it counts.
+  void u64_at(std::size_t offset, std::uint64_t v);
   /// Length-prefixed (u32) string.
   void string(std::string_view s);
   /// Length-prefixed (u32) raw bytes.
@@ -36,7 +56,31 @@ class ByteWriter {
   void value(const Value& v);
 
  private:
+  /// One append of the little-endian image of `v`.
+  template <typename T>
+  void put_le(T v) {
+    if (counting_) {
+      counted_ += sizeof v;
+      return;
+    }
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + sizeof v);
+    store_le(buffer_.data() + at, v);
+  }
+  template <typename T>
+  static void store_le(std::uint8_t* out, T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, &v, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i) {
+        out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
+  }
+
   Bytes buffer_;
+  bool counting_ = false;
+  std::size_t counted_ = 0;
 };
 
 /// Sequential binary reader with bounds checking.

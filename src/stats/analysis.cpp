@@ -8,44 +8,144 @@
 
 namespace excovery::stats {
 
+namespace {
+
+/// The Events rows that shape a discovery; every other event type is
+/// dropped before any ordering work.
+enum class Step : std::uint8_t { kSearch, kAdd, kTimeout };
+
+/// One relevant Events row: its CommonTime, its row index and its role.
+struct TimedRow {
+  double time;
+  std::uint32_t row;
+  Step step;
+};
+
+/// Order by CommonTime, ties by row index.  Each run's bucket keeps
+/// insertion order, so this is exactly the stable order by time.
+void sort_by_time(TimedRow* first, TimedRow* last) {
+  std::sort(first, last, [](const TimedRow& a, const TimedRow& b) {
+    return a.time < b.time || (!(b.time < a.time) && a.row < b.row);
+  });
+}
+
+}  // namespace
+
 Result<std::vector<RunDiscovery>> discoveries(
     const storage::ExperimentPackage& package) {
+  // Column order of the Events table (see storage/package.cpp).
+  constexpr std::size_t kRunId = 0, kNodeId = 1, kCommonTime = 2,
+                        kEventType = 3, kParameter = 4;
+  const storage::Table* events = package.database().table("Events");
+  const std::vector<std::int64_t> runs = package.run_ids();
+
+  // Pass 1: keep the relevant rows of runs listed in RunInfos, tagged with
+  // their run's slot, in insertion order.  Consecutive rows mostly share a
+  // run, so the slot lookup is cached.
+  struct Kept {
+    std::uint32_t slot;
+    TimedRow row;
+  };
+  std::vector<Kept> kept;
+  std::vector<std::uint32_t> bucket_end(runs.size() + 1, 0);
+  constexpr std::uint32_t kNoRun = 0xFFFFFFFFu;
+  std::int64_t cached_run = 0;
+  std::uint32_t cached_slot = kNoRun;
+  bool cached = false;
+  for (std::size_t r = 0; r < events->row_count(); ++r) {
+    const storage::RowView row = events->row(r);
+    const std::string_view type = row.as_string(kEventType);
+    Step step;
+    if (type == sd::events::kStartSearch) {
+      step = Step::kSearch;
+    } else if (type == sd::events::kServiceAdd) {
+      step = Step::kAdd;
+    } else if (type == "wait_timeout") {
+      step = Step::kTimeout;
+    } else {
+      continue;
+    }
+    const std::int64_t run_id = row.as_int(kRunId);
+    if (!cached || run_id != cached_run) {
+      auto it = std::lower_bound(runs.begin(), runs.end(), run_id);
+      cached = true;
+      cached_run = run_id;
+      cached_slot = it != runs.end() && *it == run_id
+                        ? static_cast<std::uint32_t>(it - runs.begin())
+                        : kNoRun;
+    }
+    if (cached_slot == kNoRun) continue;
+    kept.push_back({cached_slot, {row.as_double(kCommonTime),
+                                  static_cast<std::uint32_t>(r), step}});
+    ++bucket_end[cached_slot + 1];
+  }
+
+  // Pass 2: bucket by run with a counting sort, so each bucket keeps
+  // insertion order.
+  for (std::size_t i = 1; i < bucket_end.size(); ++i) {
+    bucket_end[i] += bucket_end[i - 1];
+  }
+  std::vector<TimedRow> order(kept.size());
+  {
+    std::vector<std::uint32_t> next(bucket_end.begin(), bucket_end.end() - 1);
+    for (const Kept& entry : kept) order[next[entry.slot]++] = entry.row;
+  }
+
+  // Pass 3, per run: order the bucket by CommonTime, then build one
+  // RunDiscovery per node that started a search, emitted in searcher-name
+  // order.
   std::vector<RunDiscovery> out;
-  for (std::int64_t run_id : package.run_ids()) {
-    EXC_ASSIGN_OR_RETURN(std::vector<storage::EventRow> events,
-                         package.events(run_id));
-    // One RunDiscovery per node that started a search in this run.
-    std::map<std::string, RunDiscovery> by_searcher;
-    for (const storage::EventRow& event : events) {
-      if (event.event_type == sd::events::kStartSearch) {
-        auto [it, inserted] =
-            by_searcher.try_emplace(event.node_id, RunDiscovery{});
-        if (inserted) {
-          it->second.run_id = run_id;
-          it->second.searcher = event.node_id;
-          it->second.search_start = event.common_time;
+  std::vector<RunDiscovery> searchers;
+  auto find_searcher = [&](std::string_view node) {
+    return std::find_if(
+        searchers.begin(), searchers.end(),
+        [&](const RunDiscovery& d) { return d.searcher == node; });
+  };
+  for (std::size_t slot = 0; slot < runs.size(); ++slot) {
+    TimedRow* first = order.data() + bucket_end[slot];
+    TimedRow* last = order.data() + bucket_end[slot + 1];
+    sort_by_time(first, last);
+    for (const TimedRow* it = first; it < last; ++it) {
+      const storage::RowView row = events->row(it->row);
+      const std::string_view node = row.as_string(kNodeId);
+      auto searcher = find_searcher(node);
+      switch (it->step) {
+        case Step::kSearch:
+          if (searcher != searchers.end()) break;
+          searchers.emplace_back();
+          searchers.back().run_id = runs[slot];
+          searchers.back().searcher = node;
+          searchers.back().search_start = it->time;
+          break;
+        case Step::kAdd: {
+          if (searcher == searchers.end()) break;  // add before search
+          const std::string_view provider =
+              row.is_null(kParameter) ? std::string_view{}
+                                      : row.as_string(kParameter);
+          // First add per provider wins.
+          searcher->latencies.try_emplace(std::string(provider),
+                                          it->time - searcher->search_start);
+          break;
         }
-      } else if (event.event_type == sd::events::kServiceAdd) {
-        auto it = by_searcher.find(event.node_id);
-        if (it == by_searcher.end()) continue;  // add before search: cached
-        double latency = event.common_time - it->second.search_start;
-        // First add per provider wins.
-        it->second.latencies.try_emplace(event.parameter, latency);
-      } else if (event.event_type == "wait_timeout") {
-        auto it = by_searcher.find(event.node_id);
-        if (it != by_searcher.end()) it->second.timed_out = true;
+        case Step::kTimeout:
+          if (searcher != searchers.end()) searcher->timed_out = true;
+          break;
       }
     }
-    for (auto& [searcher, discovery] : by_searcher) {
+    std::sort(searchers.begin(), searchers.end(),
+              [](const RunDiscovery& a, const RunDiscovery& b) {
+                return a.searcher < b.searcher;
+              });
+    for (RunDiscovery& discovery : searchers) {
       out.push_back(std::move(discovery));
     }
+    searchers.clear();
   }
   return out;
 }
 
-Result<Proportion> responsiveness(const storage::ExperimentPackage& package,
-                                  double deadline_s, std::size_t required) {
-  EXC_ASSIGN_OR_RETURN(std::vector<RunDiscovery> runs, discoveries(package));
+Proportion responsiveness(const std::vector<RunDiscovery>& runs,
+                          double deadline_s, std::size_t required) {
   std::size_t successes = 0;
   for (const RunDiscovery& run : runs) {
     std::size_t within = 0;
@@ -57,9 +157,7 @@ Result<Proportion> responsiveness(const storage::ExperimentPackage& package,
   return wilson(successes, runs.size());
 }
 
-Result<std::vector<double>> discovery_latencies(
-    const storage::ExperimentPackage& package) {
-  EXC_ASSIGN_OR_RETURN(std::vector<RunDiscovery> runs, discoveries(package));
+std::vector<double> discovery_latencies(const std::vector<RunDiscovery>& runs) {
   std::vector<double> out;
   for (const RunDiscovery& run : runs) {
     for (const auto& [provider, latency] : run.latencies) {
@@ -69,9 +167,7 @@ Result<std::vector<double>> discovery_latencies(
   return out;
 }
 
-Result<std::vector<double>> first_latencies(
-    const storage::ExperimentPackage& package) {
-  EXC_ASSIGN_OR_RETURN(std::vector<RunDiscovery> runs, discoveries(package));
+std::vector<double> first_latencies(const std::vector<RunDiscovery>& runs) {
   std::vector<double> out;
   for (const RunDiscovery& run : runs) {
     double best = -1.0;
@@ -81,6 +177,25 @@ Result<std::vector<double>> first_latencies(
     if (best >= 0) out.push_back(best);
   }
   return out;
+}
+
+Result<Proportion> responsiveness(const storage::ExperimentPackage& package,
+                                  double deadline_s, std::size_t required) {
+  return discoveries(package).map([&](std::vector<RunDiscovery> runs) {
+    return responsiveness(runs, deadline_s, required);
+  });
+}
+
+Result<std::vector<double>> discovery_latencies(
+    const storage::ExperimentPackage& package) {
+  return discoveries(package).map(
+      [](std::vector<RunDiscovery> runs) { return discovery_latencies(runs); });
+}
+
+Result<std::vector<double>> first_latencies(
+    const storage::ExperimentPackage& package) {
+  return discoveries(package).map(
+      [](std::vector<RunDiscovery> runs) { return first_latencies(runs); });
 }
 
 Result<std::vector<PacketStats>> packet_stats(

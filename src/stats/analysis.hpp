@@ -29,22 +29,35 @@ struct RunDiscovery {
   bool timed_out = false;                   ///< a wait_timeout followed
 };
 
-/// Extract per-run discovery outcomes for every searching node.
+/// Extract per-run discovery outcomes for every searching node, ordered by
+/// run id, then by searcher name.  One scan of the Events columns: rows of
+/// runs absent from RunInfos are skipped, each run's rows are taken in
+/// CommonTime order (ties keep insertion order), the first sd_start_search
+/// per node opens its search, an sd_service_add before that is ignored, and
+/// the first add per provider wins.
 Result<std::vector<RunDiscovery>> discoveries(
     const storage::ExperimentPackage& package);
+
+// The curve functions work on the output of one discoveries() call, so a
+// curve over many deadlines scans the package once.  The package overloads
+// are shorthands for discoveries() followed by the vector form.
 
 /// Responsiveness: fraction of runs in which the searcher discovered at
 /// least `required` providers within `deadline_s` of starting its search.
 /// One trial per (run, searcher).  Wilson 95% bounds included.
+Proportion responsiveness(const std::vector<RunDiscovery>& runs,
+                          double deadline_s, std::size_t required);
 Result<Proportion> responsiveness(const storage::ExperimentPackage& package,
                                   double deadline_s, std::size_t required);
 
 /// All individual discovery latencies (seconds), for distribution plots.
+std::vector<double> discovery_latencies(const std::vector<RunDiscovery>& runs);
 Result<std::vector<double>> discovery_latencies(
     const storage::ExperimentPackage& package);
 
 /// First-discovery latency per (run, searcher) — the paper's t_R for the
 /// one-shot process of Fig. 11.
+std::vector<double> first_latencies(const std::vector<RunDiscovery>& runs);
 Result<std::vector<double>> first_latencies(
     const storage::ExperimentPackage& package);
 

@@ -1,6 +1,7 @@
 #include "storage/conditioning.hpp"
 
 #include <chrono>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -36,33 +37,47 @@ void build_shard(NodeShard& shard, const OffsetsByRun* offsets,
   auto include_run = [&](std::int64_t run_id) {
     return completed_runs == nullptr || completed_runs->count(run_id) != 0;
   };
-  auto offset_for = [&](std::int64_t run_id) -> std::int64_t {
-    if (!offsets) return 0;
-    auto it = offsets->find(run_id);
-    return it == offsets->end() ? 0 : it->second;
+  // A node records its runs one after another, so the run of the previous
+  // record answers almost every lookup.
+  struct RunLookup {
+    std::int64_t run_id = 0;
+    bool included = false;
+    std::int64_t offset_ns = 0;
+  };
+  std::optional<RunLookup> last;
+  auto lookup = [&](std::int64_t run_id) -> const RunLookup& {
+    if (!last || last->run_id != run_id) {
+      RunLookup found{run_id, include_run(run_id), 0};
+      if (offsets) {
+        auto it = offsets->find(run_id);
+        if (it != offsets->end()) found.offset_ns = it->second;
+      }
+      last = found;
+    }
+    return *last;
   };
   shard.events.reserve(shard.store->events().size());
   shard.packets.reserve(shard.store->packets().size());
   // Events: split into single entries on the common time base.
   for (const RawEvent& event : shard.store->events()) {
-    if (!include_run(event.run_id)) continue;
+    const RunLookup& run = lookup(event.run_id);
+    if (!run.included) continue;
     EventRow row;
     row.run_id = event.run_id;
     row.node_id = shard.node_name;
-    row.common_time =
-        to_common_time(event.local_time_ns, offset_for(event.run_id));
+    row.common_time = to_common_time(event.local_time_ns, run.offset_ns);
     row.event_type = event.type;
     row.parameter = event.parameter.to_text();
     shard.events.push_back(std::move(row));
   }
   // Packets.
   for (const RawPacket& packet : shard.store->packets()) {
-    if (!include_run(packet.run_id)) continue;
+    const RunLookup& run = lookup(packet.run_id);
+    if (!run.included) continue;
     PacketRow row;
     row.run_id = packet.run_id;
     row.node_id = shard.node_name;
-    row.common_time =
-        to_common_time(packet.local_time_ns, offset_for(packet.run_id));
+    row.common_time = to_common_time(packet.local_time_ns, run.offset_ns);
     row.src_node_id = packet.src_node;
     row.data = packet.data;
     shard.packets.push_back(std::move(row));
@@ -159,18 +174,29 @@ Result<ExperimentPackage> condition(const Level2Store& level2,
   // Deterministic merge in node order: shard contents are appended exactly
   // where a sequential pass would have inserted them, including the global
   // experiment-measurement id sequence.
+  std::size_t event_rows = 0, packet_rows = 0;
+  for (const NodeShard& shard : shards) {
+    event_rows += shard.events.size();
+    packet_rows += shard.packets.size();
+  }
+  package.database().table("Events")->reserve(event_rows);
+  package.database().table("Packets")->reserve(packet_rows);
   std::int64_t measurement_id = 1;
   for (NodeShard& shard : shards) {
     std::string node_log = shard.store->log();
     if (!node_log.empty()) {
       EXC_TRY(package.add_log(shard.node_name, std::move(node_log)));
     }
-    for (const EventRow& row : shard.events) {
-      EXC_TRY(package.add_event(row));
+    // The shard's strings and packet bytes move into the table; its row
+    // vectors are released before the next shard is merged.
+    for (EventRow& row : shard.events) {
+      EXC_TRY(package.add_event(std::move(row)));
     }
-    for (const PacketRow& row : shard.packets) {
-      EXC_TRY(package.add_packet(row));
+    std::vector<EventRow>().swap(shard.events);
+    for (PacketRow& row : shard.packets) {
+      EXC_TRY(package.add_packet(std::move(row)));
     }
+    std::vector<PacketRow>().swap(shard.packets);
     for (const NamedBlob* blob : shard.experiment_blobs) {
       EXC_TRY(package.add_experiment_measurement(measurement_id++,
                                                  shard.node_name, blob->name,

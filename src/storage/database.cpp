@@ -64,22 +64,31 @@ std::string Database::schema_description() const {
 }
 
 Bytes Database::serialize() const {
-  ByteWriter w;
-  w.u32(kMagic);
-  w.u16(kFormatVersion);
-  w.u32(static_cast<std::uint32_t>(order_.size()));
-  for (const std::string& name : order_) {
-    const Table* t = table(name);
-    w.string(name);
-    w.u16(static_cast<std::uint16_t>(t->schema().columns.size()));
-    for (const Column& column : t->schema().columns) {
-      w.string(column.name);
-      w.u8(static_cast<std::uint8_t>(column.type));
-      w.u8(column.nullable ? 1 : 0);
+  auto write_image = [this](ByteWriter& w) {
+    w.u32(kMagic);
+    w.u16(kFormatVersion);
+    w.u32(static_cast<std::uint32_t>(order_.size()));
+    for (const std::string& name : order_) {
+      const Table* t = table(name);
+      w.string(name);
+      w.u16(static_cast<std::uint16_t>(t->schema().columns.size()));
+      for (const Column& column : t->schema().columns) {
+        w.string(column.name);
+        w.u8(static_cast<std::uint8_t>(column.type));
+        w.u8(column.nullable ? 1 : 0);
+      }
+      w.u64(t->row_count());
+      t->serialize_columns(w);
     }
-    w.u64(t->row_count());
-    t->serialize_columns(w);
-  }
+  };
+  // The same write code runs twice: a counting pass sizes the image, so the
+  // real pass writes a multi-megabyte package into one allocation instead
+  // of regrowing (and copying) its buffer some twenty times.
+  ByteWriter counter = ByteWriter::counting();
+  write_image(counter);
+  ByteWriter w;
+  w.reserve(counter.size());
+  write_image(w);
   return w.take();
 }
 

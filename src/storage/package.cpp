@@ -102,11 +102,18 @@ ExperimentPackage::ExperimentPackage() {
   (void)db_.create_table(packets_schema());
   (void)db_.create_table(metrics_schema());
   (void)db_.create_table(provenance_schema());
+  bind_tables();
+}
+
+void ExperimentPackage::bind_tables() {
+  events_ = db_.table("Events");
+  packets_ = db_.table("Packets");
 }
 
 Result<ExperimentPackage> ExperimentPackage::from_database(Database db) {
   ExperimentPackage package(std::move(db));
   EXC_TRY(package.check_schema());
+  package.bind_tables();
   return package;
 }
 
@@ -132,8 +139,9 @@ Status ExperimentPackage::set_experiment_info(
   if (info->row_count() != 0) {
     return err_state("ExperimentInfo already set (single-tuple table)");
   }
-  return info->insert(
-      {Value{description_xml}, Value{kEeVersion}, Value{name}, Value{comment}});
+  Value row[] = {Value{description_xml}, Value{kEeVersion}, Value{name},
+                 Value{comment}};
+  return info->insert(row);
 }
 
 Result<std::string> ExperimentPackage::description_xml() const {
@@ -155,46 +163,51 @@ Result<std::string> ExperimentPackage::ee_version() const {
 }
 
 Status ExperimentPackage::add_log(const std::string& node_id,
-                                  const std::string& log_text) {
-  return db_.table("Logs")->insert({Value{node_id}, Value{log_text}});
+                                  std::string log_text) {
+  Value row[] = {Value{node_id}, Value{std::move(log_text)}};
+  return db_.table("Logs")->insert(row);
 }
 
 Status ExperimentPackage::add_ee_file(const std::string& id, Bytes contents) {
-  return db_.table("EEFiles")->insert({Value{id}, Value{std::move(contents)}});
+  Value row[] = {Value{id}, Value{std::move(contents)}};
+  return db_.table("EEFiles")->insert(row);
 }
 
 Status ExperimentPackage::add_experiment_measurement(std::int64_t id,
                                                      const std::string& node_id,
                                                      const std::string& name,
                                                      const std::string& content) {
-  return db_.table("ExperimentMeasurements")
-      ->insert({Value{id}, Value{node_id}, Value{name}, Value{content}});
+  Value row[] = {Value{id}, Value{node_id}, Value{name}, Value{content}};
+  return db_.table("ExperimentMeasurements")->insert(row);
 }
 
 Status ExperimentPackage::add_run_info(const RunInfoRow& info) {
-  return db_.table("RunInfos")
-      ->insert({Value{info.run_id}, Value{info.node_id},
-                Value{info.start_time}, Value{info.time_diff}});
+  Value row[] = {Value{info.run_id}, Value{info.node_id},
+                 Value{info.start_time}, Value{info.time_diff}};
+  return db_.table("RunInfos")->insert(row);
 }
 
 Status ExperimentPackage::add_extra_run_measurement(std::int64_t run_id,
                                                     const std::string& node_id,
                                                     const std::string& name,
                                                     const std::string& content) {
-  return db_.table("ExtraRunMeasurements")
-      ->insert({Value{run_id}, Value{node_id}, Value{name}, Value{content}});
+  Value row[] = {Value{run_id}, Value{node_id}, Value{name}, Value{content}};
+  return db_.table("ExtraRunMeasurements")->insert(row);
 }
 
-Status ExperimentPackage::add_event(const EventRow& event) {
-  return db_.table("Events")->insert(
-      {Value{event.run_id}, Value{event.node_id}, Value{event.common_time},
-       Value{event.event_type}, Value{event.parameter}});
+Status ExperimentPackage::add_event(EventRow event) {
+  Value row[] = {Value{event.run_id}, Value{std::move(event.node_id)},
+                 Value{event.common_time}, Value{std::move(event.event_type)},
+                 Value{std::move(event.parameter)}};
+  return events_->insert(row);
 }
 
-Status ExperimentPackage::add_packet(const PacketRow& packet) {
-  return db_.table("Packets")->insert(
-      {Value{packet.run_id}, Value{packet.node_id}, Value{packet.common_time},
-       Value{packet.src_node_id}, Value{packet.data}});
+Status ExperimentPackage::add_packet(PacketRow packet) {
+  Value row[] = {Value{packet.run_id}, Value{std::move(packet.node_id)},
+                 Value{packet.common_time},
+                 Value{std::move(packet.src_node_id)},
+                 Value{std::move(packet.data)}};
+  return packets_->insert(row);
 }
 
 Status ExperimentPackage::add_metric(std::int64_t run_id,
@@ -204,7 +217,8 @@ Status ExperimentPackage::add_metric(std::int64_t run_id,
     // Loaded legacy package: materialise the table on first write.
     EXC_ASSIGN_OR_RETURN(table, db_.create_table(metrics_schema()));
   }
-  return table->insert({Value{run_id}, Value{name}, Value{value}});
+  Value cells[] = {Value{run_id}, Value{name}, Value{value}};
+  return table->insert(cells);
 }
 
 Status ExperimentPackage::add_provenance(const ProvenanceRow& row) {
@@ -213,10 +227,10 @@ Status ExperimentPackage::add_provenance(const ProvenanceRow& row) {
     // Loaded legacy package: materialise the table on first write.
     EXC_ASSIGN_OR_RETURN(table, db_.create_table(provenance_schema()));
   }
-  return table->insert({Value{row.run_id}, Value{row.path}, Value{row.seq},
-                        Value{row.kind}, Value{row.node_id},
-                        Value{row.detail}, Value{row.time},
-                        Value{row.latency}});
+  Value cells[] = {Value{row.run_id},  Value{row.path},    Value{row.seq},
+                   Value{row.kind},    Value{row.node_id}, Value{row.detail},
+                   Value{row.time},    Value{row.latency}};
+  return table->insert(cells);
 }
 
 std::vector<ProvenanceRow> ExperimentPackage::provenance() const {
@@ -279,8 +293,7 @@ PacketRow packet_from_row(const RowView& row) {
 
 Result<std::vector<EventRow>> ExperimentPackage::events(
     std::int64_t run_id) const {
-  const Table* table = db_.table("Events");
-  std::vector<RowView> rows = table->select_equals("RunID", Value{run_id});
+  std::vector<RowView> rows = events_->select_equals("RunID", Value{run_id});
   std::stable_sort(rows.begin(), rows.end(),
                    [](const RowView& a, const RowView& b) {
                      return a.as_double(2) < b.as_double(2);
@@ -292,11 +305,10 @@ Result<std::vector<EventRow>> ExperimentPackage::events(
 }
 
 Result<std::vector<EventRow>> ExperimentPackage::all_events() const {
-  const Table* table = db_.table("Events");
   std::vector<RowView> rows;
-  rows.reserve(table->row_count());
-  for (std::size_t r = 0; r < table->row_count(); ++r) {
-    rows.push_back(table->row(r));
+  rows.reserve(events_->row_count());
+  for (std::size_t r = 0; r < events_->row_count(); ++r) {
+    rows.push_back(events_->row(r));
   }
   std::stable_sort(rows.begin(), rows.end(),
                    [](const RowView& a, const RowView& b) {
@@ -313,8 +325,7 @@ Result<std::vector<EventRow>> ExperimentPackage::all_events() const {
 
 Result<std::vector<PacketRow>> ExperimentPackage::packets(
     std::int64_t run_id) const {
-  const Table* table = db_.table("Packets");
-  std::vector<RowView> rows = table->select_equals("RunID", Value{run_id});
+  std::vector<RowView> rows = packets_->select_equals("RunID", Value{run_id});
   std::stable_sort(rows.begin(), rows.end(),
                    [](const RowView& a, const RowView& b) {
                      return a.as_double(2) < b.as_double(2);
@@ -362,11 +373,11 @@ std::string ExperimentPackage::log_for(const std::string& node_id) const {
 }
 
 std::size_t ExperimentPackage::event_count() const {
-  return db_.table("Events")->row_count();
+  return events_->row_count();
 }
 
 std::size_t ExperimentPackage::packet_count() const {
-  return db_.table("Packets")->row_count();
+  return packets_->row_count();
 }
 
 }  // namespace excovery::storage

@@ -96,7 +96,7 @@ class ExperimentPackage {
   Result<std::string> ee_version() const;
 
   // ---- writers -----------------------------------------------------------
-  Status add_log(const std::string& node_id, const std::string& log_text);
+  Status add_log(const std::string& node_id, std::string log_text);
   Status add_ee_file(const std::string& id, Bytes contents);
   Status add_experiment_measurement(std::int64_t id,
                                     const std::string& node_id,
@@ -107,8 +107,10 @@ class ExperimentPackage {
                                    const std::string& node_id,
                                    const std::string& name,
                                    const std::string& content);
-  Status add_event(const EventRow& event);
-  Status add_packet(const PacketRow& packet);
+  /// Event and packet rows are taken by value and their strings and bytes
+  /// moved into the table: pass an rvalue to store a row without a copy.
+  Status add_event(EventRow event);
+  Status add_packet(PacketRow packet);
   /// Append to the Metrics table (created on demand, so packages written by
   /// older versions accept metric rows too).
   Status add_metric(std::int64_t run_id, const std::string& name,
@@ -145,8 +147,13 @@ class ExperimentPackage {
  private:
   explicit ExperimentPackage(Database db) : db_(std::move(db)) {}
   Status check_schema() const;
+  /// Resolve the row-volume tables once; Database keeps each Table at a
+  /// fixed address for its lifetime, moves included.
+  void bind_tables();
 
   Database db_;
+  Table* events_ = nullptr;
+  Table* packets_ = nullptr;
 };
 
 }  // namespace excovery::storage

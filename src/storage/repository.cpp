@@ -112,7 +112,9 @@ Status Repository::store(const std::string& digest,
     return err_invalid("content digest must be lower-case hex: '" + digest +
                        "'");
   }
-  if (contains(digest)) return {};  // content-addressed: idempotent
+  // Always (re)write: equal digests mean equal bytes, so rewriting an intact
+  // entry is harmless, and a damaged one (truncated, corrupt) is repaired
+  // without first loading it.
   const fs::path path = fs::path(directory_) / cas_relative_path(digest);
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);

@@ -11,7 +11,8 @@
 // SHA-256 digest of the canonical campaign submission
 // (core::campaign_digest), laid out Nix-style as
 // <dir>/cas/<first-2-hex>/<digest>.excovery.  Equal digest means
-// byte-identical package, so storing an existing digest is a no-op success.
+// byte-identical package, so storing an existing digest rewrites the same
+// bytes (and repairs a damaged entry).
 // The files present are the index: open() scans cas/ and keeps no CAS index
 // file.  Human-chosen names are aliases onto digests, kept in one
 // tab-separated <dir>/names.txt; re-aliasing a name re-points it.
@@ -40,8 +41,9 @@ class Repository {
 
   // ---- content-addressed packages ----------------------------------------
   /// Store a package under its content digest (lower-case hex, as
-  /// core::campaign_digest produces).  Idempotent: storing a digest that is
-  /// already present succeeds without rewriting the file.
+  /// core::campaign_digest produces).  Idempotent: the file is always
+  /// atomically (re)written, and equal digests carry equal bytes, so storing
+  /// a present digest leaves the same content and repairs a damaged entry.
   Status store(const std::string& digest, const ExperimentPackage& package);
   /// Load the package stored under a digest.
   Result<ExperimentPackage> fetch(const std::string& digest) const;

@@ -46,25 +46,6 @@ std::optional<std::size_t> TableSchema::column_index(
 
 // ---- RowView ---------------------------------------------------------------
 
-std::size_t RowView::size() const noexcept {
-  return table_->schema_.columns.size();
-}
-
-bool RowView::is_null(std::size_t column) const {
-  const Table::ColumnStore& store = table_->columns_[column];
-  switch (store.kind) {
-    case Table::ColumnKind::kInt64:
-    case Table::ColumnKind::kFloat64:
-    case Table::ColumnKind::kBool:
-      return store.tags[row_] == Table::kTagNull;
-    case Table::ColumnKind::kString:
-      return store.str[row_] == Table::kNullStringId;
-    case Table::ColumnKind::kGeneric:
-      return store.generic[row_].is_null();
-  }
-  return true;
-}
-
 Value RowView::operator[](std::size_t column) const {
   return table_->cell_value(column, row_);
 }
@@ -74,45 +55,6 @@ Row RowView::materialize() const {
   out.reserve(size());
   for (std::size_t c = 0; c < size(); ++c) out.push_back((*this)[c]);
   return out;
-}
-
-std::int64_t RowView::as_int(std::size_t column) const {
-  const Table::ColumnStore& store = table_->columns_[column];
-  assert(store.kind == Table::ColumnKind::kInt64 &&
-         store.tags[row_] == Table::kTagValue);
-  return store.i64[row_];
-}
-
-double RowView::as_double(std::size_t column) const {
-  const Table::ColumnStore& store = table_->columns_[column];
-  if (store.kind == Table::ColumnKind::kFloat64) {
-    assert(store.tags[row_] != Table::kTagNull);
-    // The f64 lane always carries the widened value, also for int cells.
-    return store.f64[row_];
-  }
-  assert(store.kind == Table::ColumnKind::kInt64 &&
-         store.tags[row_] == Table::kTagValue);
-  return static_cast<double>(store.i64[row_]);
-}
-
-bool RowView::as_bool(std::size_t column) const {
-  const Table::ColumnStore& store = table_->columns_[column];
-  assert(store.kind == Table::ColumnKind::kBool &&
-         store.tags[row_] == Table::kTagValue);
-  return store.b8[row_] != 0;
-}
-
-std::string_view RowView::as_string(std::size_t column) const {
-  const Table::ColumnStore& store = table_->columns_[column];
-  assert(store.kind == Table::ColumnKind::kString &&
-         store.str[row_] != Table::kNullStringId);
-  return table_->pool_[store.str[row_]];
-}
-
-const Bytes& RowView::as_bytes(std::size_t column) const {
-  const Table::ColumnStore& store = table_->columns_[column];
-  assert(store.kind == Table::ColumnKind::kGeneric);
-  return store.generic[row_].as_bytes();
 }
 
 // ---- Table -----------------------------------------------------------------
@@ -139,16 +81,20 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   }
 }
 
-std::uint32_t Table::intern(std::string_view text) {
-  auto it = pool_ids_.find(std::string(text));
-  if (it != pool_ids_.end()) return it->second;
+std::uint32_t Table::intern(ColumnStore& store, std::string_view text) {
+  if (store.last_interned != kNullStringId &&
+      pool_[store.last_interned] == text) {
+    return store.last_interned;
+  }
+  auto it = pool_ids_.find(text);
+  if (it != pool_ids_.end()) return store.last_interned = it->second;
   auto id = static_cast<std::uint32_t>(pool_.size());
   pool_.emplace_back(text);
   pool_ids_.emplace(pool_.back(), id);
-  return id;
+  return store.last_interned = id;
 }
 
-Status Table::insert(Row row) {
+Status Table::insert(std::span<Value> row) {
   if (row.size() != schema_.columns.size()) {
     return err_invalid("table '" + schema_.name + "': row arity " +
                        std::to_string(row.size()) + " != " +
@@ -204,7 +150,7 @@ Status Table::insert(Row row) {
         break;
       case ColumnKind::kString:
         store.str.push_back(cell.is_null() ? kNullStringId
-                                           : intern(cell.as_string()));
+                                           : intern(store, cell.as_string()));
         break;
       case ColumnKind::kGeneric:
         store.generic.push_back(std::move(cell));
@@ -454,6 +400,7 @@ void Table::clear() {
     store.b8.clear();
     store.str.clear();
     store.generic.clear();
+    store.last_interned = kNullStringId;
     store.hash_index.reset();
     store.sort_permutation.reset();
   }
@@ -462,45 +409,73 @@ void Table::clear() {
   row_count_ = 0;
 }
 
+void Table::reserve(std::size_t rows) {
+  for (ColumnStore& store : columns_) {
+    switch (store.kind) {
+      case ColumnKind::kInt64:
+        store.tags.reserve(rows);
+        store.i64.reserve(rows);
+        break;
+      case ColumnKind::kFloat64:
+        store.tags.reserve(rows);
+        store.i64.reserve(rows);
+        store.f64.reserve(rows);
+        break;
+      case ColumnKind::kBool:
+        store.tags.reserve(rows);
+        store.b8.reserve(rows);
+        break;
+      case ColumnKind::kString:
+        store.str.reserve(rows);
+        break;
+      case ColumnKind::kGeneric:
+        store.generic.reserve(rows);
+        break;
+    }
+  }
+}
+
 // ---- column-block serialisation --------------------------------------------
 
 void Table::serialize_columns(ByteWriter& writer) const {
   // Interned-string dictionary, then one length-prefixed block per column.
+  // Each block is written straight into `writer`; its u64 length prefix is
+  // back-patched once the block is complete.
   writer.u32(static_cast<std::uint32_t>(pool_.size()));
   for (const std::string& text : pool_) writer.string(text);
   for (const ColumnStore& store : columns_) {
-    ByteWriter block;
-    block.u8(static_cast<std::uint8_t>(store.kind));
+    const std::size_t length_at = writer.size();
+    writer.u64(0);
+    writer.u8(static_cast<std::uint8_t>(store.kind));
     switch (store.kind) {
       case ColumnKind::kInt64:
-        block.raw(store.tags.data(), store.tags.size());
+        writer.raw(store.tags.data(), store.tags.size());
         for (std::uint32_t r = 0; r < row_count_; ++r) {
-          if (store.tags[r] != kTagNull) block.i64(store.i64[r]);
+          if (store.tags[r] != kTagNull) writer.i64(store.i64[r]);
         }
         break;
       case ColumnKind::kFloat64:
-        block.raw(store.tags.data(), store.tags.size());
+        writer.raw(store.tags.data(), store.tags.size());
         for (std::uint32_t r = 0; r < row_count_; ++r) {
           if (store.tags[r] == kTagValue) {
-            block.i64(store.i64[r]);
+            writer.i64(store.i64[r]);
           } else if (store.tags[r] == kTagDouble) {
-            block.f64(store.f64[r]);
+            writer.f64(store.f64[r]);
           }
         }
         break;
       case ColumnKind::kBool:
-        block.raw(store.tags.data(), store.tags.size());
-        block.raw(store.b8.data(), store.b8.size());
+        writer.raw(store.tags.data(), store.tags.size());
+        writer.raw(store.b8.data(), store.b8.size());
         break;
       case ColumnKind::kString:
-        for (std::uint32_t id : store.str) block.u32(id);
+        writer.u32s(store.str);
         break;
       case ColumnKind::kGeneric:
-        for (const Value& cell : store.generic) block.value(cell);
+        for (const Value& cell : store.generic) writer.value(cell);
         break;
     }
-    writer.u64(block.size());
-    writer.raw(block.bytes().data(), block.size());
+    writer.u64_at(length_at, writer.size() - length_at - sizeof(std::uint64_t));
   }
 }
 

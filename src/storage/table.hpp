@@ -26,9 +26,11 @@
 // row-oriented implementation.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -107,8 +109,13 @@ class Table {
     return RowView(this, static_cast<std::uint32_t>(index));
   }
 
-  /// Insert a row; arity and types are checked (null allowed if nullable).
-  Status insert(Row row);
+  /// Insert a row, moving its cells into the table; arity and types are
+  /// checked (null allowed if nullable).  A rejected row is left untouched.
+  /// Writers that build rows in a stack array pass it here directly, so an
+  /// insert needs no heap row.
+  Status insert(std::span<Value> row);
+  /// The same insert for brace lists and owned rows.
+  Status insert(Row row) { return insert(std::span<Value>(row)); }
 
   /// Rows matching a predicate (linear scan, insertion order).
   std::vector<RowView> select(const RowPredicate& predicate) const;
@@ -125,6 +132,9 @@ class Table {
   Result<Value> cell(const RowView& row, std::string_view column) const;
 
   void clear();
+  /// Make room for `rows` rows in every column lane, so a bulk writer that
+  /// knows its row count fills the table without regrowing it.
+  void reserve(std::size_t rows);
 
   // ---- column-block serialisation (used by Database) ---------------------
   /// Append the interning dictionary plus one length-prefixed block per
@@ -173,6 +183,10 @@ class Table {
     std::vector<double> f64;            // kFloat64 double lane
     std::vector<std::uint8_t> b8;       // kBool values
     std::vector<std::uint32_t> str;     // kString interned ids
+    // Id of the string this column interned last: consecutive rows often
+    // repeat a string (a node id within one node's rows), and the check
+    // spares the pool lookup.
+    std::uint32_t last_interned = kNullStringId;
     std::vector<Value> generic;         // kGeneric cells
     // Lazily built acceleration structures.  The hash index is maintained
     // incrementally by insert(); the sort permutation is dropped on any
@@ -183,7 +197,7 @@ class Table {
 
   static ColumnKind kind_for(ValueType type) noexcept;
 
-  std::uint32_t intern(std::string_view text);
+  std::uint32_t intern(ColumnStore& store, std::string_view text);
   /// Key of the cell at (column, row).
   CellKey key_at(const ColumnStore& store, std::uint32_t row) const;
   /// Key a probe value would have in this column, or nullopt if no cell of
@@ -201,8 +215,79 @@ class Table {
   TableSchema schema_;
   std::vector<ColumnStore> columns_;
   std::size_t row_count_ = 0;
+  /// Hashes std::string and std::string_view alike, so a pool lookup by
+  /// view builds no temporary string.
+  struct PoolHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const noexcept {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
   std::vector<std::string> pool_;  // interned strings, id = position
-  std::unordered_map<std::string, std::uint32_t> pool_ids_;
+  std::unordered_map<std::string, std::uint32_t, PoolHash, std::equal_to<>>
+      pool_ids_;
 };
+
+// ---- RowView typed accessors (inline: the analysis scans call them per
+// cell) ------------------------------------------------------------------------
+
+inline std::size_t RowView::size() const noexcept {
+  return table_->schema_.columns.size();
+}
+
+inline bool RowView::is_null(std::size_t column) const {
+  const Table::ColumnStore& store = table_->columns_[column];
+  switch (store.kind) {
+    case Table::ColumnKind::kInt64:
+    case Table::ColumnKind::kFloat64:
+    case Table::ColumnKind::kBool:
+      return store.tags[row_] == Table::kTagNull;
+    case Table::ColumnKind::kString:
+      return store.str[row_] == Table::kNullStringId;
+    case Table::ColumnKind::kGeneric:
+      return store.generic[row_].is_null();
+  }
+  return true;
+}
+
+inline std::int64_t RowView::as_int(std::size_t column) const {
+  const Table::ColumnStore& store = table_->columns_[column];
+  assert(store.kind == Table::ColumnKind::kInt64 &&
+         store.tags[row_] == Table::kTagValue);
+  return store.i64[row_];
+}
+
+inline double RowView::as_double(std::size_t column) const {
+  const Table::ColumnStore& store = table_->columns_[column];
+  if (store.kind == Table::ColumnKind::kFloat64) {
+    assert(store.tags[row_] != Table::kTagNull);
+    // The f64 lane always carries the widened value, also for int cells.
+    return store.f64[row_];
+  }
+  assert(store.kind == Table::ColumnKind::kInt64 &&
+         store.tags[row_] == Table::kTagValue);
+  return static_cast<double>(store.i64[row_]);
+}
+
+inline bool RowView::as_bool(std::size_t column) const {
+  const Table::ColumnStore& store = table_->columns_[column];
+  assert(store.kind == Table::ColumnKind::kBool &&
+         store.tags[row_] == Table::kTagValue);
+  return store.b8[row_] != 0;
+}
+
+inline std::string_view RowView::as_string(std::size_t column) const {
+  const Table::ColumnStore& store = table_->columns_[column];
+  assert(store.kind == Table::ColumnKind::kString &&
+         store.str[row_] != Table::kNullStringId);
+  return table_->pool_[store.str[row_]];
+}
+
+inline const Bytes& RowView::as_bytes(std::size_t column) const {
+  const Table::ColumnStore& store = table_->columns_[column];
+  assert(store.kind == Table::ColumnKind::kGeneric);
+  return store.generic[row_].as_bytes();
+}
 
 }  // namespace excovery::storage

@@ -337,6 +337,51 @@ TEST(BytesTest, ScalarRoundTrip) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(BytesTest, WireImageIsLittleEndianAndBackPatchable) {
+  ByteWriter w;
+  w.u16(0x1234);
+  w.u32(0xDEADBEEF);
+  const std::size_t prefix_at = w.size();
+  w.u64(0);
+  w.u8(0x5A);
+  const std::uint32_t ids[] = {0x0A0B0C0D, 0x11223344};
+  w.u32s(ids);
+  w.u64_at(prefix_at, 0x0102030405060708ULL);
+  EXPECT_EQ(w.bytes(), (Bytes{0x34, 0x12, 0xEF, 0xBE, 0xAD, 0xDE, 0x08, 0x07,
+                              0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x5A, 0x0D,
+                              0x0C, 0x0B, 0x0A, 0x44, 0x33, 0x22, 0x11}));
+}
+
+TEST(BytesTest, CountingWriterSizesWithoutStoring) {
+  ValueMap inner;
+  inner.emplace("key", Value{Bytes{1, 2}});
+  auto write = [&](ByteWriter& w) {
+    w.u8(1);
+    w.u16(2);
+    w.u32(3);
+    const std::size_t prefix_at = w.size();
+    w.u64(0);
+    w.f64(0.5);
+    const std::uint32_t ids[] = {7, 8, 9};
+    w.u32s(ids);
+    w.string("text");
+    w.blob(Bytes(5, 9));
+    for (const Value& value :
+         {Value{}, Value{true}, Value{-7}, Value{2.5}, Value{"text"},
+          Value{Bytes{}}, Value{ValueArray{Value{1}, Value{inner}}},
+          Value{inner}}) {
+      w.value(value);
+    }
+    w.u64_at(prefix_at, w.size());
+  };
+  ByteWriter counter = ByteWriter::counting();
+  write(counter);
+  ByteWriter real;
+  write(real);
+  EXPECT_EQ(counter.size(), real.size());
+  EXPECT_TRUE(counter.bytes().empty());
+}
+
 TEST(BytesTest, TruncationIsAnError) {
   ByteWriter w;
   w.u32(7);

@@ -317,6 +317,59 @@ TEST(ExperimentService, CorruptCasEntryDegradesToMiss) {
   EXPECT_EQ(bytes_of(*reply.package), fresh_bytes);
 }
 
+TEST(ExperimentService, CorruptCasEntryIsRepairedByTheNextStore) {
+  TempDir dir;
+  Result<storage::Repository> repo =
+      storage::Repository::open(dir.path.string());
+  ASSERT_TRUE(repo.ok());
+
+  const Submission submission = small_submission();
+  const std::string digest = submission.digest();
+  const fs::path cas_file =
+      dir.path / storage::Repository::cas_relative_path(digest);
+  Bytes fresh_bytes;
+  {
+    ExperimentService::Config config;
+    config.workers = 1;
+    config.repository = &repo.value();
+    ExperimentService service(std::move(config));
+    const ServiceReply reply = service.submit(submission);
+    ASSERT_EQ(reply.outcome, SubmitOutcome::kSimulated);
+    fresh_bytes = bytes_of(*reply.package);
+  }
+
+  // Truncate the stored package to 7 bytes behind the repository's back.
+  std::ofstream(cas_file, std::ios::binary | std::ios::trunc) << "garbage";
+  ASSERT_EQ(fs::file_size(cas_file), 7u);
+
+  {
+    ExperimentService::Config config;
+    config.workers = 1;
+    config.memory_cache_capacity = 0;
+    config.repository = &repo.value();
+    ExperimentService service(std::move(config));
+    const ServiceReply reply = service.submit(submission);
+    EXPECT_EQ(reply.outcome, SubmitOutcome::kSimulated);
+  }
+  // The re-simulation rewrote the damaged entry in full.
+  EXPECT_EQ(fs::file_size(cas_file), fresh_bytes.size());
+
+  // A fresh repository and service, as in a later process: a disk hit.
+  Result<storage::Repository> reopened =
+      storage::Repository::open(dir.path.string());
+  ASSERT_TRUE(reopened.ok());
+  ExperimentService::Config config;
+  config.workers = 1;
+  config.memory_cache_capacity = 0;
+  config.repository = &reopened.value();
+  ExperimentService service(std::move(config));
+  const ServiceReply reply = service.submit(submission);
+  EXPECT_EQ(reply.outcome, SubmitOutcome::kDiskHit);
+  ASSERT_NE(reply.package, nullptr);
+  EXPECT_EQ(bytes_of(*reply.package), fresh_bytes);
+  EXPECT_EQ(service.stats().simulations, 0u);
+}
+
 TEST(ExperimentService, HandPlacedCasFileGivesDiskHit) {
   // The repository has no CAS index file: a package placed in the sharded
   // layout by hand (as an older build wrote it) is served as a disk hit.

@@ -180,6 +180,22 @@ TEST(Table, NegativeZeroMatchesPositiveZero) {
   EXPECT_EQ(table.count_equals("X", Value{-0.0}), 2u);
 }
 
+TEST(Table, SpanInsertMovesCellsAndLeavesRejectedRowsIntact) {
+  Table table({"Blobs",
+               {{"ID", ValueType::kInt, false},
+                {"Data", ValueType::kBytes, false}}});
+  Value rejected[] = {Value{"not an int"}, Value{Bytes{1, 2, 3}}};
+  EXPECT_FALSE(table.insert(rejected).ok());
+  EXPECT_EQ(rejected[1], (Value{Bytes{1, 2, 3}}));  // not moved from
+  EXPECT_EQ(table.row_count(), 0u);
+
+  Value accepted[] = {Value{7}, Value{Bytes{4, 5}}};
+  ASSERT_TRUE(table.insert(accepted).ok());
+  ASSERT_EQ(table.row_count(), 1u);
+  EXPECT_EQ(table.row(0).as_int(0), 7);
+  EXPECT_EQ(table.row(0).as_bytes(1), (Bytes{4, 5}));
+}
+
 // ---- Database ------------------------------------------------------------------
 
 TEST(Database, CreateAndLookup) {
@@ -277,6 +293,31 @@ TEST(Database, RoundTripEveryValueType) {
   EXPECT_TRUE(restored->row(2)[1].is_int());
   ASSERT_NE(back.value().table("Empty"), nullptr);
   EXPECT_EQ(back.value().table("Empty")->row_count(), 0u);
+}
+
+TEST(Database, MixedColumnsRoundTripByteForByte) {
+  Database db;
+  Table* t = db.create_table({"Mixed",
+                              {{"I", ValueType::kInt, true},
+                               {"D", ValueType::kDouble, true},
+                               {"S", ValueType::kString, true},
+                               {"Y", ValueType::kBytes, true}}})
+                 .value();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(t->insert({i % 3 ? Value{i} : Value{},
+                           i % 2 ? Value{i * 0.5} : Value{i},
+                           Value{i % 4 ? "s" : "longer than inline"},
+                           Value{Bytes(static_cast<std::size_t>(i), 1)}})
+                    .ok());
+  }
+  // Null, int-in-double, short and long string and variable-length bytes
+  // cells all pass through the back-patched column blocks, and the
+  // counting pass sizes the image exactly.
+  const Bytes image = db.serialize();
+  EXPECT_EQ(image.capacity(), image.size());
+  Result<Database> back = Database::deserialize(image);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().serialize(), image);
 }
 
 TEST(Database, SerializationIsDeterministic) {
@@ -891,7 +932,7 @@ TEST(Repository, CasStoreFetchAndLayout) {
   EXPECT_FALSE(repo.value().fetch(kDigestB).ok());
 
   // Content addressing makes re-storing idempotent: equal digest means
-  // equal content, so the original file is kept as-is.
+  // equal content, so rewriting the file leaves the same package.
   ASSERT_TRUE(repo.value().store(kDigestA, tiny_package("A", 2)).ok());
   EXPECT_EQ(repo.value().size(), 1u);
 
